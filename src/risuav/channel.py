@@ -34,6 +34,15 @@ def distance_3d(a_horizontal, a_alt: float, b_horizontal, b_alt: float) -> float
     return float(np.sqrt(np.sum((a - b) ** 2) + dz * dz))
 
 
+def _planar_response(row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Element responses in Kronecker order (row factor first) over the last axis.
+
+    row (..., m_r) and col (..., m_c) are the per-axis phase ramps; entry
+    i*m_c + j of the result is row[i]*col[j].
+    """
+    return (row[..., :, None] * col[..., None, :]).reshape(row.shape[:-1] + (-1,))
+
+
 def steering_vector(m_r: int, m_c: int, d_r: float, d_c: float, wavelength: float,
                     phi: float, varphi: float, psi: float) -> np.ndarray:
     """Planar-array response, length m_r*m_c, row factor first in the Kronecker order.
@@ -46,7 +55,7 @@ def steering_vector(m_r: int, m_c: int, d_r: float, d_c: float, wavelength: floa
             raise ValueError(f"direction component {name}={val} outside [-1, 1]")
     row = np.exp(-1j * 2.0 * np.pi * (d_r / wavelength) * np.arange(m_r) * phi * psi)
     col = np.exp(-1j * 2.0 * np.pi * (d_c / wavelength) * np.arange(m_c) * varphi * psi)
-    return np.kron(row, col)
+    return _planar_response(row, col)
 
 
 @dataclass(frozen=True)
@@ -184,7 +193,7 @@ def ris_gu_block(scn: Scenario, scatter: ScatteringDraw) -> np.ndarray:
     c_col = -1j * 2.0 * np.pi * (scn.col_spacing / scn.wavelength)
     rows = np.exp(c_row * np.outer(phi * psi, np.arange(scn.ris_rows)))    # (K, M_r)
     cols = np.exp(c_col * np.outer(varphi * psi, np.arange(scn.ris_cols)))  # (K, M_c)
-    los = (rows[:, :, None] * cols[:, None, :]).reshape(len(gus), -1)
+    los = _planar_response(rows, cols)
 
     amp = np.sqrt(scn.ref_path_loss / d ** scn.pathloss_exp_rg)
     kap = scn.rician_rg

@@ -8,11 +8,14 @@ Subcommands:
 
 Shared flags (given after the subcommand): --scenario, --seed, --out, --workers,
 --delta, --max-outer. --seed is the first of --seeds consecutive master seeds.
+With ``run``, a shared flag that is given overrides the spec's field; --seed is
+rejected there because the spec lists its own seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
@@ -27,17 +30,20 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
+    # Every default is None so ``run`` can tell a given flag from an absent one;
+    # an absent flag falls back to the spec file or to ExperimentSpec's default.
     parser.add_argument("--scenario", metavar="PATH", default=None,
                         help="scenario JSON file (defaults built in)")
-    parser.add_argument("--seed", type=int, default=0, help="first master seed")
-    parser.add_argument("--out", metavar="DIR", default="results",
-                        help="output directory")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes")
-    parser.add_argument("--delta", type=float, default=1.0e-3,
-                        help="outer-loop relative improvement threshold")
-    parser.add_argument("--max-outer", type=int, default=20,
-                        help="outer iteration cap")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="first master seed (default 0)")
+    parser.add_argument("--out", metavar="DIR", default=None,
+                        help="output directory (default results)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="parallel worker processes (default 1)")
+    parser.add_argument("--delta", type=float, default=None,
+                        help="outer-loop relative improvement threshold (default 1e-3)")
+    parser.add_argument("--max-outer", type=int, default=None,
+                        help="outer iteration cap (default 20)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,49 +82,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given_flags(args: argparse.Namespace) -> dict:
+    """ExperimentSpec fields set by the shared flags that were given."""
+    fields = dict(output_path=args.out, workers=args.workers, delta=args.delta,
+                  max_outer_iters=args.max_outer)
+    if args.scenario is not None:
+        fields.update(scenario_path=args.scenario, scenario_inline=None)
+    return {key: val for key, val in fields.items() if val is not None}
+
+
 def spec_from_args(args: argparse.Namespace) -> harness.ExperimentSpec:
+    common = _given_flags(args)
     if args.command == "run":
+        if args.seed is not None:
+            raise ValueError("--seed does not apply to run: the spec file lists its seeds")
         spec = harness.load_spec(args.spec)
-        overrides = {}
-        if args.scenario is not None:
-            overrides["scenario_path"] = args.scenario
-            overrides["scenario_inline"] = None
-        if args.out != "results":
-            overrides["output_path"] = args.out
-        if overrides:
-            spec = harness.validate_spec(
-                harness.ExperimentSpec(**{**harness.spec_to_dict(spec), **overrides,
-                                          "seeds": tuple(spec.seeds),
-                                          "sweep_values": tuple(spec.sweep_values),
-                                          "schemes": tuple(spec.schemes)}))
+        if common:
+            spec = harness.validate_spec(dataclasses.replace(spec, **common))
         return spec
 
-    common = dict(scenario_path=args.scenario, output_path=args.out,
-                  workers=args.workers, delta=args.delta,
-                  max_outer_iters=args.max_outer)
+    first_seed = 0 if args.seed is None else args.seed
     if args.command == "sweep-gus":
-        seeds = tuple(range(args.seed, args.seed + args.seeds))
+        seeds = tuple(range(first_seed, first_seed + args.seeds))
         return harness.validate_spec(harness.ExperimentSpec(
             kind="sweep-gus", seeds=seeds, sweep_values=tuple(args.k),
             fixed_elements=args.m, **common))
     if args.command == "sweep-elements":
-        seeds = tuple(range(args.seed, args.seed + args.seeds))
+        seeds = tuple(range(first_seed, first_seed + args.seeds))
         return harness.validate_spec(harness.ExperimentSpec(
             kind="sweep-elements", seeds=seeds, sweep_values=tuple(args.m),
             fixed_gus=args.k, **common))
     # oracle
     return harness.validate_spec(harness.ExperimentSpec(
-        kind="oracle", seeds=(args.seed,), sweep_values=(args.m,),
+        kind="oracle", seeds=(first_seed,), sweep_values=(args.m,),
         fixed_gus=args.k, theta_grid=args.theta_grid,
         placement_grid=args.placement_grid, **common))
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = spec_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = spec_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     result = harness.run_experiment(spec)
-    out_dir = args.out if args.out != "results" else spec.output_path
-    csv_path = harness.write_outputs(result, out_dir)
+    csv_path = harness.write_outputs(result, spec.output_path)
 
     print(f"wrote {csv_path} ({len(result.rows)} rows)")
     for row in result.rows:

@@ -7,8 +7,8 @@ strictly positive fitness, so rate-constraint violations are folded in as a
 multiplicative penalty with a small floor rather than rejected outright; power
 constraints never reach the penalty because they are repaired in the optim module.
 
-The ``*_fitness`` builders return closures that score whole populations at once;
-they are the hot path of every run.
+The ``*_fitness`` builders return closures that score whole populations at once,
+so each GA generation costs one fitness call however large its population.
 """
 
 from __future__ import annotations

@@ -83,42 +83,53 @@ def _check_adam_config(cfg: AdamConfig) -> None:
 # Operators
 # ---------------------------------------------------------------------------
 
-def selection_sample(fitnesses, rng: np.random.Generator) -> int:
-    """Index drawn with probability proportional to fitness."""
+def selection_sample(fitnesses, rng: np.random.Generator, size=None):
+    """Indices drawn with probability proportional to fitness.
+
+    Without size, one int; with size, an array of that many independent draws
+    taken in one call, which consumes the generator exactly as size scalar calls.
+    """
     f = np.asarray(fitnesses, dtype=float)
     if np.any(f < 0) or not np.all(np.isfinite(f)):
         raise ValueError("fitnesses must be finite and nonnegative")
     total = f.sum()
     if total <= 0.0:
         raise ValueError("all-zero fitnesses: selection PMF undefined")
-    return int(rng.choice(f.size, p=f / total))
+    idx = rng.choice(f.size, size=size, p=f / total)
+    return int(idx) if size is None else idx
 
 
 def crossover_blend(a, b, rng: np.random.Generator):
     """Weighted-sum crossover: one weight w ~ U[0,1] per pair, two mirrored children.
 
-    Children are convex combinations, so every child coordinate lies between the
-    parents' coordinates.
+    Pairs run along any leading axes (rows of a and b pair up), with one weight
+    drawn per pair. Children are convex combinations, so every child coordinate
+    lies between the parents' coordinates.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"parent shapes differ: {a.shape} vs {b.shape}")
-    w = rng.uniform()
+    w = rng.uniform(size=a.shape[:-1])[..., None]
     return w * a + (1.0 - w) * b, (1.0 - w) * a + w * b
 
 
-def crossover_single_point(a, b, cut: int):
-    """Swap tails at the cut index: children a[:cut]+b[cut:] and b[:cut]+a[cut:]."""
+def crossover_single_point(a, b, cut):
+    """Swap tails at the cut index: children a[:cut]+b[cut:] and b[:cut]+a[cut:].
+
+    Pairs run along any leading axes; cut is one index for all pairs or one per
+    pair (shape a.shape[:-1]).
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"parent shapes differ: {a.shape} vs {b.shape}")
-    if not 1 <= cut <= a.size - 1:
-        raise ValueError(f"cut must be in [1, {a.size - 1}], got {cut}")
-    c1 = np.concatenate([a[:cut], b[cut:]])
-    c2 = np.concatenate([b[:cut], a[cut:]])
-    return c1, c2
+    m = a.shape[-1]
+    cut = np.asarray(cut)
+    if np.any(cut < 1) or np.any(cut > m - 1):
+        raise ValueError(f"cut must be in [1, {m - 1}], got {cut}")
+    head = np.arange(m) < cut[..., None]
+    return np.where(head, a, b), np.where(head, b, a)
 
 
 def mutate_continuous(genome, sigma, rng: np.random.Generator) -> np.ndarray:
@@ -159,10 +170,6 @@ def repair_power(p_raw, p_max: float, p_min: float = 1.0e-6) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-def _select_parents(fit: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    return np.array([selection_sample(fit, rng) for _ in range(n)])
-
 
 def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
                       rng: np.random.Generator, p_max: float = 1.0,
@@ -205,12 +212,9 @@ def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
     trace = [float(fit.max())]
 
     for _ in range(cfg.generations):
-        idx = _select_parents(fit, n, rng)
+        idx = selection_sample(fit, rng, size=n)
         children = np.empty_like(pop)
-        for pair in range(cfg.pop_pairs):
-            c1, c2 = crossover_blend(pop[idx[2 * pair]], pop[idx[2 * pair + 1]], rng)
-            children[2 * pair] = c1
-            children[2 * pair + 1] = c2
+        children[0::2], children[1::2] = crossover_blend(pop[idx[0::2]], pop[idx[1::2]], rng)
         children = mutate_continuous(children, sigma, rng)
         children[:, :m] = wrap_phase(children[:, :m])
         if k:
@@ -267,17 +271,12 @@ def ga_binary_run(fitness, m: int, cfg: GaConfig, rng: np.random.Generator,
     trace = [float(fit.max())]
 
     for _ in range(cfg.generations):
-        idx = _select_parents(fit, n, rng)
+        idx = selection_sample(fit, rng, size=n)
+        a, b = pop[idx[0::2]], pop[idx[1::2]]
+        if m >= 2:
+            a, b = crossover_single_point(a, b, rng.integers(1, m, size=cfg.pop_pairs))
         children = np.empty_like(pop)
-        for pair in range(cfg.pop_pairs):
-            a, b = pop[idx[2 * pair]], pop[idx[2 * pair + 1]]
-            if m >= 2:
-                cut = int(rng.integers(1, m))
-                c1, c2 = crossover_single_point(a, b, cut)
-            else:
-                c1, c2 = a.copy(), b.copy()
-            children[2 * pair] = c1
-            children[2 * pair + 1] = c2
+        children[0::2], children[1::2] = a, b
         flips = rng.uniform(size=children.shape) < mu
         children = np.where(flips, 1 - children, children)
 

@@ -108,3 +108,51 @@ def test_main_reports_cell_failures(tmp_path, capsys):
     code = main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "f")])
     assert code == 1
     assert "FAILED oracle_1_0" in capsys.readouterr().err
+
+
+def _tiny_spec_file(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "kind": "single",
+        "scenario_inline": {"num_gus": 1, "ris_rows": 1, "ris_cols": 2},
+        "schemes": ["no-ris"],
+        "seeds": [0],
+        "max_outer_iters": 2,
+    }), encoding="utf-8")
+    return spec_path
+
+
+def test_run_keeps_spec_fields_without_flags(tmp_path):
+    spec = spec_from_args(parse(["run", "--spec", str(_tiny_spec_file(tmp_path))]))
+    assert (spec.workers, spec.delta, spec.max_outer_iters) == (1, 1.0e-3, 2)
+    assert spec.seeds == (0,)
+
+
+def test_run_applies_given_shared_flags(tmp_path):
+    spec = spec_from_args(parse(["run", "--spec", str(_tiny_spec_file(tmp_path)),
+                                 "--workers", "3", "--delta", "0.01",
+                                 "--max-outer", "7"]))
+    assert (spec.workers, spec.delta, spec.max_outer_iters) == (3, 0.01, 7)
+    assert spec.seeds == (0,)
+
+
+def test_run_flags_reach_the_manifest(tmp_path):
+    out = tmp_path / "run"
+    code = main(["run", "--spec", str(_tiny_spec_file(tmp_path)), "--out", str(out),
+                 "--max-outer", "1", "--delta", "0.5"])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["spec"]["max_outer_iters"] == 1
+    assert manifest["spec"]["delta"] == 0.5
+    assert manifest["spec"]["output_path"] == str(out)
+
+
+def test_run_rejects_seed_flag(tmp_path, capsys):
+    argv = ["run", "--spec", str(_tiny_spec_file(tmp_path)), "--seed", "3"]
+    with pytest.raises(ValueError, match="--seed"):
+        spec_from_args(parse(argv))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "never")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()

@@ -329,3 +329,191 @@ def test_adam_descent_flag_reverses_direction():
 
 def test_default_theta_sigma_value():
     assert DEFAULT_THETA_SIGMA == 0.15
+
+
+# ---------------------------------------------------------------------------
+# Batched operators against per-pair reference loops
+# ---------------------------------------------------------------------------
+# The drivers draw all parents and build all children of a generation with one
+# call per operator. The loops below are the per-individual and per-pair form
+# the drivers used to run; the batched form must consume the generator the same
+# way and give bit-identical children.
+
+def _ref_blend(a, b, rng):
+    w = rng.uniform()
+    return w * a + (1.0 - w) * b, (1.0 - w) * a + w * b
+
+
+def _ref_single_point(a, b, cut):
+    return np.concatenate([a[:cut], b[cut:]]), np.concatenate([b[:cut], a[cut:]])
+
+
+def _ref_ga_continuous(fitness, dims, cfg, rng, p_max=1.0, p_min=1.0e-6,
+                       seed_genomes=None):
+    m, k = dims
+    n = 2 * cfg.pop_pairs
+    sigma_theta = DEFAULT_THETA_SIGMA if cfg.mutation_scale is None else cfg.mutation_scale
+    sigma = np.concatenate([np.full(m, sigma_theta),
+                            np.full(k, cfg.power_mutation_frac * p_max)])
+    pop = np.empty((n, m + k))
+    pop[:, :m] = rng.uniform(0.0, TWO_PI, size=(n, m))
+    if k:
+        pop[:, m:] = repair_power(rng.uniform(0.0, p_max, size=(n, k)), p_max, p_min)
+    if seed_genomes is not None:
+        injected = np.atleast_2d(np.asarray(seed_genomes, dtype=float))[:n]
+        pop[:len(injected), :m] = wrap_phase(injected[:, :m])
+        if k:
+            pop[:len(injected), m:] = repair_power(injected[:, m:], p_max, p_min)
+    fit = np.asarray(fitness(pop), dtype=float)
+    best_i = int(np.argmax(fit))
+    best, best_fit = pop[best_i].copy(), float(fit[best_i])
+    trace = [float(fit.max())]
+    for _ in range(cfg.generations):
+        idx = [selection_sample(fit, rng) for _ in range(n)]
+        children = np.empty_like(pop)
+        for pair in range(cfg.pop_pairs):
+            children[2 * pair], children[2 * pair + 1] = _ref_blend(
+                pop[idx[2 * pair]], pop[idx[2 * pair + 1]], rng)
+        children = mutate_continuous(children, sigma, rng)
+        children[:, :m] = wrap_phase(children[:, :m])
+        if k:
+            children[:, m:] = repair_power(children[:, m:], p_max, p_min)
+        child_fit = np.asarray(fitness(children), dtype=float)
+        gi = int(np.argmax(child_fit))
+        if child_fit[gi] > best_fit:
+            best, best_fit = children[gi].copy(), float(child_fit[gi])
+        if cfg.elitism and best_fit > child_fit[gi]:
+            worst = int(np.argmin(child_fit))
+            children[worst] = best
+            child_fit[worst] = best_fit
+        pop, fit = children, child_fit
+        trace.append(float(fit.max()))
+    return best, best_fit, np.asarray(trace)
+
+
+def _ref_ga_binary(fitness, m, cfg, rng, seed_genomes=None):
+    mu = min(1.0 / m, 0.5) if cfg.mutation_scale is None else cfg.mutation_scale
+    n = 2 * cfg.pop_pairs
+    pop = rng.integers(0, 2, size=(n, m))
+    if seed_genomes is not None:
+        injected = np.atleast_2d(np.asarray(seed_genomes))[:n]
+        pop[:len(injected)] = injected.astype(pop.dtype)
+    fit = np.asarray(fitness(pop), dtype=float)
+    best_i = int(np.argmax(fit))
+    best, best_fit = pop[best_i].copy(), float(fit[best_i])
+    trace = [float(fit.max())]
+    for _ in range(cfg.generations):
+        idx = [selection_sample(fit, rng) for _ in range(n)]
+        children = np.empty_like(pop)
+        for pair in range(cfg.pop_pairs):
+            a, b = pop[idx[2 * pair]], pop[idx[2 * pair + 1]]
+            if m >= 2:
+                c1, c2 = _ref_single_point(a, b, int(rng.integers(1, m)))
+            else:
+                c1, c2 = a.copy(), b.copy()
+            children[2 * pair], children[2 * pair + 1] = c1, c2
+        flips = rng.uniform(size=children.shape) < mu
+        children = np.where(flips, 1 - children, children)
+        child_fit = np.asarray(fitness(children), dtype=float)
+        gi = int(np.argmax(child_fit))
+        if child_fit[gi] > best_fit:
+            best, best_fit = children[gi].copy(), float(child_fit[gi])
+        if cfg.elitism and best_fit > child_fit[gi]:
+            worst = int(np.argmin(child_fit))
+            children[worst] = best
+            child_fit[worst] = best_fit
+        pop, fit = children, child_fit
+        trace.append(float(fit.max()))
+    return best, best_fit, np.asarray(trace)
+
+
+def _recording(fitness):
+    seen = []
+
+    def fit(pop):
+        seen.append(pop.copy())
+        return fitness(pop)
+    return fit, seen
+
+
+def _assert_same_run(batched, reference, rng_b, rng_r):
+    (best_b, fit_b, trace_b), seen_b = batched
+    (best_r, fit_r, trace_r), seen_r = reference
+    np.testing.assert_array_equal(best_b, best_r)
+    assert fit_b == fit_r
+    np.testing.assert_array_equal(trace_b, trace_r)
+    assert len(seen_b) == len(seen_r)
+    for pop_b, pop_r in zip(seen_b, seen_r):
+        assert pop_b.dtype == pop_r.dtype
+        np.testing.assert_array_equal(pop_b, pop_r)
+    assert rng_b.bit_generator.state == rng_r.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_selection_batched_equals_scalar_calls(n):
+    f = np.random.default_rng(10).uniform(0.0, 3.0, size=13)
+    f[4] = 0.0
+    rng_b, rng_r = np.random.default_rng(11), np.random.default_rng(11)
+    batched = selection_sample(f, rng_b, size=n)
+    reference = [selection_sample(f, rng_r) for _ in range(n)]
+    assert all(isinstance(i, int) for i in reference)
+    np.testing.assert_array_equal(batched, reference)
+    assert rng_b.bit_generator.state == rng_r.bit_generator.state
+
+
+def test_crossover_blend_batched_equals_pair_loop():
+    rng_b, rng_r = np.random.default_rng(12), np.random.default_rng(12)
+    a = np.random.default_rng(13).normal(size=(9, 5))
+    b = np.random.default_rng(14).normal(size=(9, 5))
+    c1, c2 = crossover_blend(a, b, rng_b)
+    ref = [_ref_blend(x, y, rng_r) for x, y in zip(a, b)]
+    np.testing.assert_array_equal(c1, [r[0] for r in ref])
+    np.testing.assert_array_equal(c2, [r[1] for r in ref])
+    assert rng_b.bit_generator.state == rng_r.bit_generator.state
+
+
+def test_crossover_single_point_per_row_cuts_equal_pair_loop():
+    a = np.random.default_rng(15).integers(0, 2, size=(8, 6))
+    b = np.random.default_rng(16).integers(0, 2, size=(8, 6))
+    cuts = np.random.default_rng(17).integers(1, 6, size=8)
+    c1, c2 = crossover_single_point(a, b, cuts)
+    ref = [_ref_single_point(x, y, int(c)) for x, y, c in zip(a, b, cuts)]
+    assert c1.dtype == a.dtype
+    np.testing.assert_array_equal(c1, [r[0] for r in ref])
+    np.testing.assert_array_equal(c2, [r[1] for r in ref])
+    with pytest.raises(ValueError, match="cut must be in"):
+        crossover_single_point(a, b, np.where(cuts == cuts[0], 6, cuts))
+
+
+@pytest.mark.parametrize("dims, seeded", [((5, 3), False), ((4, 0), False),
+                                          ((0, 3), False), ((5, 3), True)])
+def test_ga_continuous_matches_pair_loop(dims, seeded):
+    m, k = dims
+    cfg = GaConfig(pop_pairs=6, generations=25)
+    seeds = np.full((2, m + k), 0.2) if seeded else None
+
+    def fitness(pop):
+        return 2.0 + np.cos(pop[:, :m]).sum(axis=1) / (m or 1) + pop[:, m:].sum(axis=1)
+
+    rng_b, rng_r = np.random.default_rng(20), np.random.default_rng(20)
+    fit_b, seen_b = _recording(fitness)
+    fit_r, seen_r = _recording(fitness)
+    batched = ga_continuous_run(fit_b, dims, cfg, rng_b, p_max=1.0, seed_genomes=seeds)
+    reference = _ref_ga_continuous(fit_r, dims, cfg, rng_r, p_max=1.0, seed_genomes=seeds)
+    _assert_same_run((batched, seen_b), (reference, seen_r), rng_b, rng_r)
+
+
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_ga_binary_matches_pair_loop(m):
+    cfg = GaConfig(pop_pairs=5, generations=25)
+    weights = np.linspace(1.0, 2.0, m)
+
+    def fitness(pop):
+        return 1.0 + pop @ weights
+
+    rng_b, rng_r = np.random.default_rng(21), np.random.default_rng(21)
+    fit_b, seen_b = _recording(fitness)
+    fit_r, seen_r = _recording(fitness)
+    batched = ga_binary_run(fit_b, m, cfg, rng_b, seed_genomes=np.ones(m, dtype=int))
+    reference = _ref_ga_binary(fit_r, m, cfg, rng_r, seed_genomes=np.ones(m, dtype=int))
+    _assert_same_run((batched, seen_b), (reference, seen_r), rng_b, rng_r)
