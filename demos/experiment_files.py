@@ -9,6 +9,7 @@ columns come back bit-identical.
 """
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -26,26 +27,29 @@ spec = ExperimentSpec(
 
 result = run_experiment(spec)
 out = Path(tempfile.mkdtemp(prefix="risuav_demo_"))
-csv_path = write_outputs(result, out)
+try:
+    csv_path = write_outputs(result, out)
 
-print(f"wrote {len(result.rows)} rows under {out}")
-for p in sorted(out.iterdir()):
-    print(f"  {p.name}")
+    print(f"wrote {len(result.rows)} rows under {out}")
+    for p in sorted(out.iterdir()):
+        print(f"  {p.name}")
 
-print(f"\n{csv_path.name}")
-for line in csv_path.read_text(encoding="utf-8").strip().split("\n"):
-    print(f"  {line}")
+    print(f"\n{csv_path.name}")
+    for line in csv_path.read_text(encoding="utf-8").strip().split("\n"):
+        print(f"  {line}")
 
-one_trace = sorted(out.glob("trace_*.csv"))[0]
-print(f"\n{one_trace.name} (efficiency after each outer pass)")
-for line in one_trace.read_text(encoding="utf-8").strip().split("\n"):
-    print(f"  {line}")
+    one_trace = sorted(out.glob("trace_*.csv"))[0]
+    print(f"\n{one_trace.name} (efficiency after each outer pass)")
+    for line in one_trace.read_text(encoding="utf-8").strip().split("\n"):
+        print(f"  {line}")
 
-# The manifest embeds the resolved spec and scenario, so it replays without
-# any of the original inputs.
-manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-replay = run_experiment(spec_from_dict(manifest))
-same = all(a.eta == b.eta and a.sum_rate == b.sum_rate
-           for a, b in zip(result.rows, replay.rows))
-print(f"\nreplaying manifest.json reproduces every physics column: {same}")
-print("wall-time columns are measurements and are the one thing that varies")
+    # The manifest embeds the resolved spec and scenario, so it replays without
+    # any of the original inputs.
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    replay = run_experiment(spec_from_dict(manifest))
+    same = all(a.eta == b.eta and a.sum_rate == b.sum_rate
+               for a, b in zip(result.rows, replay.rows))
+    print(f"\nreplaying manifest.json reproduces every physics column: {same}")
+    print("wall-time columns are measurements and are the one thing that varies")
+finally:
+    shutil.rmtree(out)

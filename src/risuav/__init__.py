@@ -16,8 +16,9 @@ from .channel import (ChannelSet, GeometryError, ScatteringDraw, build_channel_s
                       effective_channel, effective_channels, ris_gu_block,
                       sample_scattering, steering_vector)
 from .objective import (ConstraintReport, PenaltyConfig, SolutionState,
-                        check_constraints, energy_efficiency, hover_power,
-                        penalized_fitness, per_gu_rates, sinr, sum_rate, total_power)
+                        check_constraints, energy_efficiency, evaluate_efficiency,
+                        hover_power, penalized_fitness, per_gu_rates,
+                        scenario_hover_power, sinr, sum_rate, total_power)
 from .optim import (AdamConfig, GaConfig, adam_maximize, crossover_blend,
                     crossover_single_point, finite_diff_gradient, ga_binary_run,
                     ga_continuous_run, mutate_continuous, repair_power,

@@ -26,10 +26,9 @@ import numpy as np
 from ._version import __version__
 from .bcd import (BcdConfig, BcdResult, baseline_no_ris, baseline_random_phase,
                   initial_solution, optimize)
-from .channel import (build_channel_set, effective_channels, ris_gu_block,
-                      sample_scattering)
-from .objective import (SolutionState, energy_efficiency, hover_power,
-                        per_gu_rates, total_power)
+from .channel import build_channel_set, ris_gu_block, sample_scattering
+from .objective import (SolutionState, check_constraints, evaluate_efficiency,
+                        scenario_hover_power)
 from .scenario import (RngStream, Scenario, default_scenario, load_scenario,
                        sample_gu_positions, scenario_from_dict, scenario_to_dict,
                        with_gu_positions)
@@ -174,9 +173,7 @@ def _cell_dims(spec: ExperimentSpec, base: Scenario, value: int) -> tuple[int, i
         return base.num_gus, base.num_elements
     if spec.kind == "sweep-gus":
         return value, spec.fixed_elements
-    if spec.kind == "sweep-elements":
-        return spec.fixed_gus, value
-    return spec.fixed_gus, value  # oracle: value is the element count
+    return spec.fixed_gus, value  # sweep-elements and oracle: value is the element count
 
 
 def run_cell(spec: ExperimentSpec, scheme: str, value: int, seed: int):
@@ -189,29 +186,21 @@ def run_cell(spec: ExperimentSpec, scheme: str, value: int, seed: int):
         eta, sol = run_oracle(m, k, spec.theta_grid, spec.placement_grid, base, seed)
         elapsed = time.perf_counter() - t0
         scn, scatter, digest = build_instance(base, k, max(m, 1), seed)
-        c_eff = _effective_for(scn, scatter, sol)
-        rate = float(per_gu_rates(c_eff, sol.powers, scn.bandwidth,
-                                  scn.noise_power).sum())
+        report = check_constraints(sol, scatter, scn)
         row = ExperimentRow(scheme="oracle", sweep_value=value, seed=seed, eta=eta,
-                            sum_rate=rate, total_power=total_power(sol, scn),
-                            outer_iters=0, wall_time=elapsed)
+                            sum_rate=float(report.per_gu_rate.sum()),
+                            total_power=report.total_power, outer_iters=0, wall_time=elapsed)
         return row, np.asarray([eta]), digest
 
     scn, scatter, digest = build_instance(base, k, m, seed)
     cfg = _bcd_config(spec)
     result: BcdResult = _SCHEME_RUNNERS[scheme](scn, scatter, cfg, seed)
+    report = result.constraint_report
     row = ExperimentRow(
-        scheme=scheme, sweep_value=value, seed=seed,
-        eta=energy_efficiency(result.best, scatter, scn),
-        sum_rate=float(result.constraint_report.per_gu_rate.sum()),
-        total_power=total_power(result.best, scn),
+        scheme=scheme, sweep_value=value, seed=seed, eta=report.eta,
+        sum_rate=float(report.per_gu_rate.sum()), total_power=report.total_power,
         outer_iters=result.outer_iters_used, wall_time=result.wall_time)
     return row, result.eta_trace, digest
-
-
-def _effective_for(scn, scatter, sol: SolutionState):
-    chans = build_channel_set(scn, sol.uav_pos, scatter)
-    return effective_channels(chans, sol.phases, sol.onoff)
 
 
 def _run_cell_task(args):
@@ -335,8 +324,7 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     xs = np.linspace(x_lo, x_hi, placement_grid)
     ys = np.linspace(y_lo, y_hi, placement_grid)
 
-    p_h = hover_power(inst.drone_mass, inst.gravity, inst.prop_radius,
-                      inst.num_props, inst.air_density)
+    p_h = scenario_hover_power(inst)
     cached = ris_gu_block(inst, scatter)
 
     best_eta = -np.inf
@@ -351,16 +339,11 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
             v = np.conj(chans.ris_gu) * chans.uav_ris[None, :]  # (k, m_eff)
             for pat in patterns:
                 c_eff = chans.direct[None, :] + (phase_factors * pat[None, :]) @ v.T
-                p_ris = inst.ru_power * pat.sum()
+                n_on = pat.sum()
                 for c in scales:
                     p = c * p_split
-                    rates = per_gu_rates(c_eff, p[None, :], inst.bandwidth,
-                                         inst.noise_power)
-                    feasible = np.all(rates >= inst.min_rate, axis=1)
-                    if not feasible.any():
-                        continue
-                    p_t = p_h + p.sum() + k * inst.gu_circuit_power + p_ris
-                    eta = np.where(feasible, rates.sum(axis=1) / p_t, -np.inf)
+                    rates, _, eta = evaluate_efficiency(c_eff, p[None, :], n_on, inst, p_h)
+                    eta = np.where(np.all(rates >= inst.min_rate, axis=1), eta, -np.inf)
                     j = int(np.argmax(eta))
                     if eta[j] > best_eta:
                         best_eta = float(eta[j])

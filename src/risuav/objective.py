@@ -2,10 +2,11 @@
 
 The decision variables live in :class:`SolutionState`: per-element on-off states X,
 per-element phases theta, per-GU transmit powers P, and the UAV horizontal position.
-Energy efficiency is sum rate over total consumed power. The genetic solvers need a
-strictly positive fitness, so rate-constraint violations are folded in as a
-multiplicative penalty with a small floor rather than rejected outright; power
-constraints never reach the penalty because they are repaired in the optim module.
+Energy efficiency is sum rate over total consumed power; one batched kernel,
+:func:`evaluate_efficiency`, computes every rate, power and efficiency number.
+The genetic solvers need a strictly positive fitness, so rate-constraint violations
+are folded in as a multiplicative penalty with a small floor rather than rejected
+outright; power constraints never reach the penalty, being repaired in optim.
 
 The ``*_fitness`` builders return closures that score whole populations at once,
 so each GA generation costs one fitness call however large its population.
@@ -51,6 +52,8 @@ class ConstraintReport:
     power_sum: float           # watts
     power_feasible: bool       # sum <= P_max and every p_k > 0
     overall_feasible: bool
+    total_power: float         # watts, hover + transmit + circuits + RIS
+    eta: float                 # bits/joule, sum rate over total power
 
 
 def validate_solution(solution: SolutionState, scn: Scenario) -> SolutionState:
@@ -108,29 +111,44 @@ def sum_rate(channels, powers, bandwidth: float, noise: float) -> float:
     return float(per_gu_rates(channels, powers, bandwidth, noise).sum(axis=-1))
 
 
+def scenario_hover_power(scn: Scenario) -> float:
+    """Hovering power of the scenario's UAV, watts."""
+    return hover_power(scn.drone_mass, scn.gravity, scn.prop_radius,
+                       scn.num_props, scn.air_density)
+
+
+def evaluate_efficiency(c_eff, powers, n_active, scn: Scenario, p_hover: float):
+    """(per-GU rates, total power, eta) from (..., K) channels and powers.
+
+    Total power is hover + transmit + GU circuit + per-active-element RIS power;
+    p_hover is :func:`scenario_hover_power` of scn, computed once by the caller.
+    """
+    rates = per_gu_rates(c_eff, powers, scn.bandwidth, scn.noise_power)
+    k = rates.shape[-1]
+    p_total = (p_hover + np.asarray(powers, dtype=float).sum(axis=-1)
+               + k * scn.gu_circuit_power + scn.ru_power * np.asarray(n_active))
+    return rates, p_total, rates.sum(axis=-1) / p_total
+
+
 def total_power(solution: SolutionState, scn: Scenario) -> float:
-    """Hover + transmit + GU circuit + per-active-element RIS power, watts."""
-    p_h = hover_power(scn.drone_mass, scn.gravity, scn.prop_radius,
-                      scn.num_props, scn.air_density)
-    k = len(solution.powers)
-    return float(p_h + np.sum(solution.powers) + k * scn.gu_circuit_power
-                 + scn.ru_power * np.sum(solution.onoff))
+    """Total power in watts; channels do not enter it, so zeros stand in for them."""
+    _, p_total, _ = evaluate_efficiency(np.zeros(len(solution.powers)), solution.powers,
+                                        np.sum(solution.onoff), scn, scenario_hover_power(scn))
+    return float(p_total)
 
 
 def energy_efficiency(solution: SolutionState, scatter: ScatteringDraw,
                       scn: Scenario) -> float:
     """Sum rate over total power, bits per joule, channels rebuilt at solution.uav_pos."""
-    chans = build_channel_set(scn, solution.uav_pos, scatter)
-    c_eff = effective_channels(chans, solution.phases, solution.onoff)
-    r_t = sum_rate(c_eff, solution.powers, scn.bandwidth, scn.noise_power)
-    return r_t / total_power(solution, scn)
+    return check_constraints(solution, scatter, scn).eta
 
 
 def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
                       scn: Scenario) -> ConstraintReport:
     chans = build_channel_set(scn, solution.uav_pos, scatter)
     c_eff = effective_channels(chans, solution.phases, solution.onoff)
-    rates = per_gu_rates(c_eff, solution.powers, scn.bandwidth, scn.noise_power)
+    rates, p_total, eta = evaluate_efficiency(
+        c_eff, solution.powers, np.sum(solution.onoff), scn, scenario_hover_power(scn))
     rate_ok = rates >= scn.min_rate
     psum = float(np.sum(solution.powers))
     # <= is inclusive; the tiny relative slack absorbs repair-scaling roundoff.
@@ -138,23 +156,14 @@ def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
                     and np.all(solution.powers > 0.0))
     return ConstraintReport(per_gu_rate=rates, rate_feasible=rate_ok, power_sum=psum,
                             power_feasible=power_ok,
-                            overall_feasible=bool(power_ok and np.all(rate_ok)))
+                            overall_feasible=bool(power_ok and np.all(rate_ok)),
+                            total_power=float(p_total), eta=float(eta))
 
 
-def _hover(scn: Scenario) -> float:
-    return hover_power(scn.drone_mass, scn.gravity, scn.prop_radius,
-                       scn.num_props, scn.air_density)
-
-
-def _fitness_core(c_eff, powers, onoff_total, scn: Scenario,
-                  penalty: PenaltyConfig) -> np.ndarray:
+def _fitness_core(c_eff, powers, onoff_total, scn: Scenario, penalty: PenaltyConfig,
+                  p_hover: float) -> np.ndarray:
     """Penalized fitness from effective channels, broadcast over leading axes."""
-    rates = per_gu_rates(c_eff, powers, scn.bandwidth, scn.noise_power)
-    k = rates.shape[-1]
-    r_t = rates.sum(axis=-1)
-    p_t = (_hover(scn) + np.asarray(powers, dtype=float).sum(axis=-1)
-           + k * scn.gu_circuit_power + scn.ru_power * np.asarray(onoff_total))
-    eta = r_t / p_t
+    rates, _, eta = evaluate_efficiency(c_eff, powers, onoff_total, scn, p_hover)
     if scn.min_rate > 0:
         deficit = np.clip((scn.min_rate - rates) / scn.min_rate, 0.0, None).sum(axis=-1)
         eta = np.where(deficit > 0.0, eta / (1.0 + penalty.weight * deficit), eta)
@@ -175,7 +184,7 @@ def penalized_fitness(solution: SolutionState, scatter: ScatteringDraw, scn: Sce
         chans = build_channel_set(scn, solution.uav_pos, scatter)
     c_eff = effective_channels(chans, solution.phases, solution.onoff)
     return float(_fitness_core(c_eff, solution.powers, float(np.sum(solution.onoff)),
-                               scn, penalty))
+                               scn, penalty, scenario_hover_power(scn)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +200,13 @@ def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray,
     m = scn.num_elements
     coeff = np.conj(chans.ris_gu) * chans.uav_ris[None, :] * np.asarray(onoff)[None, :]
     active = float(np.sum(onoff))
+    p_h = scenario_hover_power(scn)
 
     def fitness(genomes: np.ndarray) -> np.ndarray:
         g = np.atleast_2d(np.asarray(genomes, dtype=float))
         theta, powers = g[:, :m], g[:, m:]
         c_eff = chans.direct[None, :] + np.exp(1j * theta) @ coeff.T
-        return _fitness_core(c_eff, powers, active, scn, penalty)
+        return _fitness_core(c_eff, powers, active, scn, penalty, p_h)
 
     return fitness
 
@@ -206,10 +216,11 @@ def power_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
     """Fitness over P genomes with theta, X, and the UAV position all fixed."""
     c_eff = effective_channels(chans, theta, onoff)
     active = float(np.sum(onoff))
+    p_h = scenario_hover_power(scn)
 
     def fitness(powers: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(np.asarray(powers, dtype=float))
-        return _fitness_core(c_eff[None, :], p, active, scn, penalty)
+        return _fitness_core(c_eff[None, :], p, active, scn, penalty, p_h)
 
     return fitness
 
@@ -224,11 +235,12 @@ def onoff_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
     coeff = np.conj(chans.ris_gu) * chans.uav_ris[None, :] * np.exp(
         1j * np.asarray(theta, dtype=float))[None, :]
     p = np.asarray(powers, dtype=float)
+    p_h = scenario_hover_power(scn)
 
     def fitness(patterns: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(patterns, dtype=float))
         c_eff = chans.direct[None, :] + x @ coeff.T
-        return _fitness_core(c_eff, p[None, :], x.sum(axis=1), scn, penalty)
+        return _fitness_core(c_eff, p[None, :], x.sum(axis=1), scn, penalty, p_h)
 
     return fitness
 
@@ -245,10 +257,11 @@ def placement_objective(scn: Scenario, scatter: ScatteringDraw, onoff: np.ndarra
     weights = np.asarray(onoff, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
     p = np.asarray(powers, dtype=float)
     active = float(np.sum(onoff))
+    p_h = scenario_hover_power(scn)
 
     def objective(w_u: np.ndarray) -> float:
         chans = build_channel_set(scn, w_u, scatter, ris_gu=cached)
         c_eff = chans.direct + (np.conj(chans.ris_gu) * chans.uav_ris[None, :]) @ weights
-        return float(_fitness_core(c_eff, p, active, scn, penalty))
+        return float(_fitness_core(c_eff, p, active, scn, penalty, p_h))
 
     return objective

@@ -5,8 +5,10 @@ works on genomes [theta | P] (phases then powers), the binary GA on on-off bit
 vectors, and Adam on UAV coordinates with central finite-difference gradients.
 
 The crossover and mutation operators are pure maps with no knowledge of genome
-layout; the GA drivers apply phase wrapping and power repair right after each
-operator so every individual in every generation is feasible.
+layout. Both GA drivers run one shared generation loop and differ only in the
+crossover and mutation hooks they hand it; the continuous hook applies phase
+wrapping and power repair right after mutation so every individual in every
+generation is feasible.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ class GaConfig:
     Gaussian sigma for phase entries (continuous GA) or the per-bit flip
     probability (binary GA); None resolves to 0.15 rad and min(1/m, 0.5)
     respectively. power_mutation_frac scales the power-entry sigma as a fraction
-    of P_max.
+    of P_max. Elitism is always on: a generation that loses the best genome so
+    far gets it back in place of its worst child.
     """
 
     pop_pairs: int = 25
     generations: int = 100
     mutation_scale: float | None = None
     power_mutation_frac: float = 0.02
-    elitism: bool = True
     rng_label: str = "ga"
 
 
@@ -163,13 +165,55 @@ def repair_power(p_raw, p_max: float, p_min: float = 1.0e-6) -> np.ndarray:
         raise ValueError(f"infeasible bounds: p_min*K = {p_min * k} >= p_max = {p_max}")
     p = np.clip(p, p_min, None)
     s = p.sum(axis=-1, keepdims=True)
-    scale = np.where(s > p_max, p_max / s, 1.0)
-    return p * scale
+    # Exactly 1.0 unless s > p_max, with no zero divisor for an empty power block.
+    return p * (p_max / np.maximum(s, p_max))
 
 
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
+
+def _seed_rows(seed_genomes, n: int, length: int) -> np.ndarray:
+    """The first n seed genomes as rows, checked to have the genome length."""
+    rows = np.atleast_2d(np.asarray(seed_genomes))[:n]
+    if rows.shape[1] != length:
+        raise ValueError(f"seed genome length {rows.shape[1]}, expected {length}")
+    return rows
+
+
+def _ga_loop(fitness, pop: np.ndarray, cfg: GaConfig, rng: np.random.Generator,
+             crossover, mutate):
+    """The generation cycle of both GAs: score, select, cross, mutate, keep the elite.
+
+    crossover(a, b) maps paired parent rows to two child arrays, interleaved into
+    the brood; mutate(children) returns the perturbed brood. Returns (best genome,
+    best fitness, per-generation best trace).
+    """
+    n = len(pop)
+    fit = np.asarray(fitness(pop), dtype=float)
+    best_i = int(np.argmax(fit))
+    best, best_fit = pop[best_i].copy(), float(fit[best_i])
+    trace = [float(fit.max())]
+
+    for _ in range(cfg.generations):
+        idx = selection_sample(fit, rng, size=n)
+        children = np.empty_like(pop)
+        children[0::2], children[1::2] = crossover(pop[idx[0::2]], pop[idx[1::2]])
+        children = mutate(children)
+
+        child_fit = np.asarray(fitness(children), dtype=float)
+        gi = int(np.argmax(child_fit))
+        if child_fit[gi] > best_fit:
+            best, best_fit = children[gi].copy(), float(child_fit[gi])
+        if best_fit > child_fit[gi]:
+            worst = int(np.argmin(child_fit))
+            children[worst] = best
+            child_fit[worst] = best_fit
+        pop, fit = children, child_fit
+        trace.append(float(fit.max()))
+
+    return best, best_fit, np.asarray(trace)
+
 
 def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
                       rng: np.random.Generator, p_max: float = 1.0,
@@ -196,48 +240,23 @@ def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
 
     pop = np.empty((n, m + k))
     pop[:, :m] = rng.uniform(0.0, TWO_PI, size=(n, m))
-    if k:
-        pop[:, m:] = repair_power(rng.uniform(0.0, p_max, size=(n, k)), p_max, p_min)
+    pop[:, m:] = repair_power(rng.uniform(0.0, p_max, size=(n, k)), p_max, p_min)
     if seed_genomes is not None:
-        injected = np.atleast_2d(np.asarray(seed_genomes, dtype=float))[:n]
-        if injected.shape[1] != m + k:
-            raise ValueError(f"seed genome length {injected.shape[1]}, expected {m + k}")
+        injected = _seed_rows(seed_genomes, n, m + k)
         pop[:len(injected), :m] = wrap_phase(injected[:, :m])
-        if k:
-            pop[:len(injected), m:] = repair_power(injected[:, m:], p_max, p_min)
-    fit = np.asarray(fitness(pop), dtype=float)
+        pop[:len(injected), m:] = repair_power(injected[:, m:], p_max, p_min)
 
-    best_i = int(np.argmax(fit))
-    best, best_fit = pop[best_i].copy(), float(fit[best_i])
-    trace = [float(fit.max())]
-
-    for _ in range(cfg.generations):
-        idx = selection_sample(fit, rng, size=n)
-        children = np.empty_like(pop)
-        children[0::2], children[1::2] = crossover_blend(pop[idx[0::2]], pop[idx[1::2]], rng)
+    def mutate(children):
+        # Wrap and repair, so every individual in every generation is feasible.
         children = mutate_continuous(children, sigma, rng)
         children[:, :m] = wrap_phase(children[:, :m])
-        if k:
-            children[:, m:] = repair_power(children[:, m:], p_max, p_min)
-
-        # Feasibility invariants hold for every individual in every generation.
+        children[:, m:] = repair_power(children[:, m:], p_max, p_min)
         assert np.all(children[:, :m] >= 0.0) and np.all(children[:, :m] < TWO_PI)
-        if k:
-            assert np.all(children[:, m:] > 0.0)
-            assert np.all(children[:, m:].sum(axis=1) <= p_max * (1.0 + 1.0e-9))
+        assert np.all(children[:, m:] > 0.0)
+        assert np.all(children[:, m:].sum(axis=1) <= p_max * (1.0 + 1.0e-9))
+        return children
 
-        child_fit = np.asarray(fitness(children), dtype=float)
-        gi = int(np.argmax(child_fit))
-        if child_fit[gi] > best_fit:
-            best, best_fit = children[gi].copy(), float(child_fit[gi])
-        if cfg.elitism and best_fit > child_fit[gi]:
-            worst = int(np.argmin(child_fit))
-            children[worst] = best
-            child_fit[worst] = best_fit
-        pop, fit = children, child_fit
-        trace.append(float(fit.max()))
-
-    return best, best_fit, np.asarray(trace)
+    return _ga_loop(fitness, pop, cfg, rng, lambda a, b: crossover_blend(a, b, rng), mutate)
 
 
 def ga_binary_run(fitness, m: int, cfg: GaConfig, rng: np.random.Generator,
@@ -259,39 +278,20 @@ def ga_binary_run(fitness, m: int, cfg: GaConfig, rng: np.random.Generator,
 
     pop = rng.integers(0, 2, size=(n, m))
     if seed_genomes is not None:
-        injected = np.atleast_2d(np.asarray(seed_genomes))[:n]
-        if injected.shape[1] != m:
-            raise ValueError(f"seed genome length {injected.shape[1]}, expected {m}")
+        injected = _seed_rows(seed_genomes, n, m)
         if not np.isin(injected, (0, 1)).all():
             raise ValueError("seed genomes must be 0/1 patterns")
         pop[:len(injected)] = injected.astype(pop.dtype)
-    fit = np.asarray(fitness(pop), dtype=float)
-    best_i = int(np.argmax(fit))
-    best, best_fit = pop[best_i].copy(), float(fit[best_i])
-    trace = [float(fit.max())]
 
-    for _ in range(cfg.generations):
-        idx = selection_sample(fit, rng, size=n)
-        a, b = pop[idx[0::2]], pop[idx[1::2]]
-        if m >= 2:
-            a, b = crossover_single_point(a, b, rng.integers(1, m, size=cfg.pop_pairs))
-        children = np.empty_like(pop)
-        children[0::2], children[1::2] = a, b
-        flips = rng.uniform(size=children.shape) < mu
-        children = np.where(flips, 1 - children, children)
+    def crossover(a, b):
+        if m < 2:
+            return a, b
+        return crossover_single_point(a, b, rng.integers(1, m, size=len(a)))
 
-        child_fit = np.asarray(fitness(children), dtype=float)
-        gi = int(np.argmax(child_fit))
-        if child_fit[gi] > best_fit:
-            best, best_fit = children[gi].copy(), float(child_fit[gi])
-        if cfg.elitism and best_fit > child_fit[gi]:
-            worst = int(np.argmin(child_fit))
-            children[worst] = best
-            child_fit[worst] = best_fit
-        pop, fit = children, child_fit
-        trace.append(float(fit.max()))
+    def mutate(children):
+        return np.where(rng.uniform(size=children.shape) < mu, 1 - children, children)
 
-    return best, best_fit, np.asarray(trace)
+    return _ga_loop(fitness, pop, cfg, rng, crossover, mutate)
 
 
 def finite_diff_gradient(f, w, h: float) -> np.ndarray:

@@ -105,15 +105,17 @@ def validate(scn: Scenario) -> Scenario:
         pos = getattr(scn, name)
         if len(pos) != 2 or not np.all(np.isfinite(pos)):
             raise ScenarioError(f"{name} must be a finite (x, y) pair, got {pos!r}")
+    ris = np.asarray(scn.ris_position, dtype=float)
+    # Horizontal coincidence with the RIS makes steering angles undefined.
+    if np.linalg.norm(np.asarray(scn.uav_initial_position, dtype=float) - ris) == 0.0:
+        raise ScenarioError("uav_initial_position coincides horizontally with ris_position")
     if scn.gu_positions is not None:
         if len(scn.gu_positions) != scn.num_gus:
             raise ScenarioError(
                 f"gu_positions has {len(scn.gu_positions)} entries, num_gus is {scn.num_gus}")
-        ris = np.asarray(scn.ris_position, dtype=float)
         for i, p in enumerate(scn.gu_positions):
             if len(p) != 2 or not np.all(np.isfinite(p)):
                 raise ScenarioError(f"gu_positions[{i}] must be a finite (x, y) pair")
-            # Horizontal coincidence with the RIS makes steering angles undefined.
             if np.linalg.norm(np.asarray(p, dtype=float) - ris) == 0.0:
                 raise ScenarioError(
                     f"gu_positions[{i}] coincides horizontally with ris_position")

@@ -203,6 +203,19 @@ def test_penalized_fitness_equals_eta_when_feasible():
         energy_efficiency(sol, scatter, scn), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_constraint_report_agrees_with_power_and_efficiency_callers(seed):
+    scn, scatter = full_instance(seed)
+    sol = solved_state(scn, rng_seed=seed)
+    sol.uav_pos = np.random.default_rng(seed).uniform([180.0, 10.0], [220.0, 60.0])
+    report = check_constraints(sol, scatter, scn)
+    assert report.total_power == total_power(sol, scn)
+    assert report.eta == energy_efficiency(sol, scatter, scn)
+    assert report.eta == report.per_gu_rate.sum() / report.total_power
+    assert report.rate_feasible.all()
+    assert penalized_fitness(sol, scatter, scn) == report.eta
+
+
 def test_penalized_fitness_half_rate_deficit():
     # Put one GU at exactly half its required rate by choosing min_rate to be
     # twice that GU's achieved rate: fitness must become eta / (1 + 10*0.5).

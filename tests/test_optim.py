@@ -266,6 +266,29 @@ def test_ga_binary_rejects_bad_flip_probability():
                       GaConfig(mutation_scale=1.5), np.random.default_rng(0))
 
 
+def _run_continuous(seed_genomes):
+    return ga_continuous_run(lambda pop: np.ones(len(pop)), (3, 2),
+                             GaConfig(pop_pairs=2, generations=1),
+                             np.random.default_rng(0), seed_genomes=seed_genomes)
+
+
+def _run_binary(seed_genomes):
+    return ga_binary_run(lambda pop: np.ones(len(pop)), 5,
+                         GaConfig(pop_pairs=2, generations=1),
+                         np.random.default_rng(0), seed_genomes=seed_genomes)
+
+
+@pytest.mark.parametrize("run, seed_genomes, match", [
+    (_run_continuous, np.zeros(4), "seed genome length 4, expected 5"),
+    (_run_continuous, np.zeros((2, 6)), "seed genome length 6, expected 5"),
+    (_run_binary, np.zeros(4, dtype=int), "seed genome length 4, expected 5"),
+    (_run_binary, [[0, 1, 2, 0, 1]], "0/1 patterns"),
+], ids=["continuous-short", "continuous-long", "binary-short", "binary-not-bits"])
+def test_ga_rejects_bad_seed_genomes(run, seed_genomes, match):
+    with pytest.raises(ValueError, match=match):
+        run(seed_genomes)
+
+
 # ---------------------------------------------------------------------------
 # Finite differences and Adam
 # ---------------------------------------------------------------------------
@@ -382,7 +405,7 @@ def _ref_ga_continuous(fitness, dims, cfg, rng, p_max=1.0, p_min=1.0e-6,
         gi = int(np.argmax(child_fit))
         if child_fit[gi] > best_fit:
             best, best_fit = children[gi].copy(), float(child_fit[gi])
-        if cfg.elitism and best_fit > child_fit[gi]:
+        if best_fit > child_fit[gi]:
             worst = int(np.argmin(child_fit))
             children[worst] = best
             child_fit[worst] = best_fit
@@ -418,7 +441,7 @@ def _ref_ga_binary(fitness, m, cfg, rng, seed_genomes=None):
         gi = int(np.argmax(child_fit))
         if child_fit[gi] > best_fit:
             best, best_fit = children[gi].copy(), float(child_fit[gi])
-        if cfg.elitism and best_fit > child_fit[gi]:
+        if best_fit > child_fit[gi]:
             worst = int(np.argmin(child_fit))
             children[worst] = best
             child_fit[worst] = best_fit

@@ -52,6 +52,15 @@ def test_validate_rejects_gu_on_ris_foot_point():
         validate(Scenario(num_gus=1, gu_positions=((200.0, 0.0),)))
 
 
+def test_validate_rejects_uav_start_above_ris():
+    # Every cell of such a spec used to fail mid-run with a GeometryError.
+    with pytest.raises(ScenarioError, match="uav_initial_position"):
+        validate(Scenario(uav_initial_position=(200.0, 0.0)))
+    with pytest.raises(ScenarioError, match="uav_initial_position"):
+        scenario_from_dict({"num_gus": 2, "ris_rows": 1, "ris_cols": 2,
+                            "uav_initial_position": [200.0, 0.0]})
+
+
 def test_gu_array_requires_positions():
     with pytest.raises(ScenarioError):
         default_scenario().gu_array()
