@@ -4,6 +4,8 @@ With the surface settings and the power split frozen, the efficiency becomes a
 smooth scalar field over the UAV's horizontal position. There is no closed-form
 gradient because the field threads through several channel models, so the
 placement step estimates it with central differences and climbs with Adam.
+The field scores a whole batch of positions at once, so each Adam step hands
+it the current point and its four stencil neighbours in one call.
 This script freezes a reasonable solution, walks the UAV from a poor starting
 corner, and prints where the walk settles relative to the users.
 """
@@ -28,7 +30,7 @@ field = placement_objective(scn, scatter, sol.onoff, sol.phases, sol.powers,
 centroid = scn.gu_array().mean(axis=0)
 start = np.array([150.0, 90.0])
 cfg = AdamConfig(step=1.0, iters=50, fd_step=0.5)
-w, trace = adam_maximize(field, start, cfg)
+w, trace = adam_maximize(field, start, cfg, vectorized=True)
 
 print(f"user centroid            ({centroid[0]:7.2f}, {centroid[1]:7.2f})")
 print(f"start                    ({start[0]:7.2f}, {start[1]:7.2f})"

@@ -127,7 +127,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
         # (c) UAV placement
         objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
                                         sol.powers, cfg.penalty)
-        w_best, _ = adam_maximize(objective, sol.uav_pos, cfg.adam_cfg)
+        w_best, _ = adam_maximize(objective, sol.uav_pos, cfg.adam_cfg, vectorized=True)
         cand = sol.copy()
         cand.uav_pos = np.asarray(w_best, dtype=float)
         val = score(cand)

@@ -44,15 +44,18 @@ def _planar_response(row: np.ndarray, col: np.ndarray) -> np.ndarray:
 
 
 def steering_vector(m_r: int, m_c: int, d_r: float, d_c: float, wavelength: float,
-                    phi: float, varphi: float, psi: float) -> np.ndarray:
+                    phi, varphi, psi) -> np.ndarray:
     """Planar-array response, length m_r*m_c, row factor first in the Kronecker order.
 
     phi, varphi, psi are direction sines/cosines and must lie in [-1, 1] up to
-    roundoff. Every entry has magnitude 1.
+    roundoff. They may be arrays that broadcast together to shape (...,); the
+    result is then (..., m_r*m_c), one response per direction. Every entry has
+    magnitude 1.
     """
     for name, val in (("phi", phi), ("varphi", varphi), ("psi", psi)):
-        if abs(val) > 1.0 + _COS_TOL:
+        if np.any(np.abs(val) > 1.0 + _COS_TOL):
             raise ValueError(f"direction component {name}={val} outside [-1, 1]")
+    phi, varphi, psi = (np.asarray(a, dtype=float)[..., None] for a in (phi, varphi, psi))
     row = np.exp(-1j * 2.0 * np.pi * (d_r / wavelength) * np.arange(m_r) * phi * psi)
     col = np.exp(-1j * 2.0 * np.pi * (d_c / wavelength) * np.arange(m_c) * varphi * psi)
     return _planar_response(row, col)
@@ -84,11 +87,12 @@ def sample_scattering(rng: RngStream | np.random.Generator, num_gus: int,
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All channel gains for one UAV position.
+    """All channel gains for one UAV position, or for a batch of them.
 
-    direct: (K,) complex UAV-GU scalars; uav_ris: (M,) complex; ris_gu: (K, M)
-    complex. ris_gu does not depend on the UAV position, so callers moving the UAV
-    may reuse it (see :func:`build_channel_set`).
+    direct: (..., K) complex UAV-GU scalars; uav_ris: (..., M) complex; ris_gu:
+    (K, M) complex. The leading axes are those of the UAV positions, none for one
+    position. ris_gu does not depend on the UAV position, so callers moving the
+    UAV may reuse it (see :func:`build_channel_set`).
     """
 
     direct: np.ndarray
@@ -110,19 +114,24 @@ def channel_uav_gu(scn: Scenario, w_u, k: int, scatter: ScatteringDraw) -> compl
 
 
 def channel_uav_ris(scn: Scenario, w_u) -> np.ndarray:
-    """Pure-LOS UAV to RIS vector, free-space exponent 2."""
+    """Pure-LOS UAV to RIS vector, free-space exponent 2.
+
+    w_u is one horizontal position (2,) or a batch (..., 2); returns (..., M).
+    """
     w = np.asarray(w_u, dtype=float)
     ris = np.asarray(scn.ris_position, dtype=float)
-    hnorm = float(np.linalg.norm(ris - w))
-    if hnorm == 0.0:
+    d_h = ris - w
+    # A dot product per position: the same bits as np.linalg.norm of one vector.
+    hnorm = np.sqrt((d_h[..., None, :] @ d_h[..., :, None])[..., 0, 0])
+    if np.any(hnorm == 0.0):
         raise GeometryError("UAV horizontally coincident with the RIS")
-    d = float(np.hypot(hnorm, scn.uav_altitude - scn.ris_altitude))
-    phi = (w[1] - ris[1]) / hnorm
-    varphi = (ris[0] - w[0]) / hnorm
+    d = np.hypot(hnorm, scn.uav_altitude - scn.ris_altitude)
+    phi = (w[..., 1] - ris[1]) / hnorm
+    varphi = d_h[..., 0] / hnorm
     psi = (scn.uav_altitude - scn.ris_altitude) / d
     sv = steering_vector(scn.ris_rows, scn.ris_cols, scn.row_spacing, scn.col_spacing,
                          scn.wavelength, phi, varphi, psi)
-    return (np.sqrt(scn.ref_path_loss) / d) * sv
+    return (np.sqrt(scn.ref_path_loss) / d)[..., None] * sv
 
 
 def channel_ris_gu(scn: Scenario, k: int, scatter: ScatteringDraw) -> np.ndarray:
@@ -147,16 +156,17 @@ def channel_ris_gu(scn: Scenario, k: int, scatter: ScatteringDraw) -> np.ndarray
 
 def build_channel_set(scn: Scenario, w_u, scatter: ScatteringDraw,
                       ris_gu: np.ndarray | None = None) -> ChannelSet:
-    """All gains for one UAV position, vectorized over GUs.
+    """All gains for one UAV position (2,) or a batch of them (..., 2), vectorized over GUs.
 
     Pass a previously computed ``ris_gu`` block to skip recomputing the only part
-    that does not depend on w_u. Agrees with the per-link functions entrywise.
+    that does not depend on w_u. Agrees with the per-link functions entrywise, and
+    each position of a batch gets the same bits as it would alone.
     """
     gus = scn.gu_array()
     w = np.asarray(w_u, dtype=float)
 
-    dvec = gus - w[None, :]
-    d_ug = np.sqrt(np.sum(dvec ** 2, axis=1) + scn.uav_altitude ** 2)
+    dvec = gus - w[..., None, :]
+    d_ug = np.sqrt(np.sum(dvec ** 2, axis=-1) + scn.uav_altitude ** 2)
     if np.any(d_ug == 0.0):
         raise GeometryError("UAV coincides with a GU")
     amp_ug = np.sqrt(scn.ref_path_loss / d_ug ** scn.pathloss_exp_ug)

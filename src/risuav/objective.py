@@ -248,10 +248,12 @@ def onoff_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
 def placement_objective(scn: Scenario, scatter: ScatteringDraw, onoff: np.ndarray,
                         theta: np.ndarray, powers: np.ndarray,
                         penalty: PenaltyConfig):
-    """Scalar objective over the UAV position with (X, theta, P) fixed.
+    """Objective over the UAV position with (X, theta, P) fixed.
 
-    Caches the UAV-independent RIS-GU block so each evaluation only rebuilds the
-    direct and UAV-RIS links.
+    Returns f mapping one position (2,) to a float, or a batch (P, 2) to (P,)
+    values, each the same bits as that position scored alone. Caches the
+    UAV-independent RIS-GU block so each evaluation only rebuilds the direct
+    and UAV-RIS links, once for the whole batch.
     """
     cached = ris_gu_block(scn, scatter)
     weights = np.asarray(onoff, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
@@ -259,9 +261,10 @@ def placement_objective(scn: Scenario, scatter: ScatteringDraw, onoff: np.ndarra
     active = float(np.sum(onoff))
     p_h = scenario_hover_power(scn)
 
-    def objective(w_u: np.ndarray) -> float:
+    def objective(w_u: np.ndarray):
         chans = build_channel_set(scn, w_u, scatter, ris_gu=cached)
-        c_eff = chans.direct + (np.conj(chans.ris_gu) * chans.uav_ris[None, :]) @ weights
-        return float(_fitness_core(c_eff, p, active, scn, penalty, p_h))
+        c_eff = chans.direct + (np.conj(chans.ris_gu) * chans.uav_ris[..., None, :]) @ weights
+        values = _fitness_core(c_eff, p, active, scn, penalty, p_h)
+        return float(values) if values.ndim == 0 else values
 
     return objective

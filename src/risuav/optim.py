@@ -2,7 +2,8 @@
 
 All three treat the objective as a black box and maximize it. The continuous GA
 works on genomes [theta | P] (phases then powers), the binary GA on on-off bit
-vectors, and Adam on UAV coordinates with central finite-difference gradients.
+vectors, and Adam on UAV coordinates with central finite-difference gradients,
+scoring each iterate and its stencil in one call when the objective takes a batch.
 
 The crossover and mutation operators are pure maps with no knowledge of genome
 layout. Both GA drivers run one shared generation loop and differ only in the
@@ -294,22 +295,36 @@ def ga_binary_run(fitness, m: int, cfg: GaConfig, rng: np.random.Generator,
     return _ga_loop(fitness, pop, cfg, rng, crossover, mutate)
 
 
+def _stencil(w: np.ndarray, h: float) -> np.ndarray:
+    """Rows w, w + h*e_0, w - h*e_0, w + h*e_1, ...: a point and its central stencil."""
+    e = h * np.eye(w.size)
+    rows = np.empty((2 * w.size + 1, w.size))
+    rows[0] = w
+    rows[1::2] = w + e
+    rows[2::2] = w - e
+    return rows
+
+
+def _stencil_gradient(values: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient from f at _stencil(w, h)[1:], in that row order."""
+    f_plus, f_minus = values[0::2], values[1::2]
+    if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+        raise FloatingPointError(
+            f"objective non-finite at finite-difference stencil around {w}")
+    return (f_plus - f_minus) / (2.0 * h)
+
+
 def finite_diff_gradient(f, w, h: float) -> np.ndarray:
-    """Central-difference gradient of f at w with step h per coordinate."""
+    """Central-difference gradient of a scalar f at w with step h per coordinate.
+
+    f is called once per stencil point, in the order w + h*e_0, w - h*e_0,
+    w + h*e_1, ...; a non-finite value raises FloatingPointError.
+    """
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
     w = np.asarray(w, dtype=float)
-    grad = np.empty(w.size)
-    for i in range(w.size):
-        e = np.zeros(w.size)
-        e[i] = h
-        f_plus = float(f(w + e))
-        f_minus = float(f(w - e))
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise FloatingPointError(
-                f"objective non-finite at finite-difference stencil around {w}")
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    values = np.array([float(f(x)) for x in _stencil(w, h)[1:]])
+    return _stencil_gradient(values, w, h)
 
 
 def _update_moments(m: np.ndarray, v: np.ndarray, g: np.ndarray,
@@ -320,30 +335,47 @@ def _update_moments(m: np.ndarray, v: np.ndarray, g: np.ndarray,
     return m_next, v_next
 
 
-def adam_maximize(f, w0, cfg: AdamConfig):
+def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
     """Adam with bias-corrected moments over a scalar field on R^2.
 
-    Gradients come from finite_diff_gradient. Returns (best-observed coordinates,
-    trace of f at every iterate including w0). With cfg.ascent the update climbs;
-    otherwise it applies the plain descending form.
+    Gradients are central finite differences, as in finite_diff_gradient. Each
+    step evaluates the new iterate together with the stencil around it, so the
+    whole run makes cfg.iters + 1 evaluation calls. With vectorized=False, f
+    maps one point (n,) to a scalar and is called once per row; with
+    vectorized=True, f maps a (P, n) batch of points to (P,) values in one call.
+    Returns (best-observed coordinates, trace of f at every iterate including
+    w0). With cfg.ascent the update climbs; otherwise it applies the plain
+    descending form.
     """
     _check_adam_config(cfg)
+    batch_f = f if vectorized else (lambda points: np.array([float(f(x)) for x in points]))
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        values = np.asarray(batch_f(points), dtype=float)
+        if values.shape != (len(points),):
+            raise ValueError(f"objective returned shape {values.shape} for "
+                             f"{len(points)} points, expected ({len(points)},)")
+        return values
+
     w = np.asarray(w0, dtype=float).copy()
     m = np.zeros_like(w)
     v = np.zeros_like(w)
     sign = 1.0 if cfg.ascent else -1.0
 
-    f_cur = float(f(w))
+    values = evaluate(_stencil(w, cfg.fd_step))
+    f_cur = float(values[0])
     trace = [f_cur]
     best_w, best_f = w.copy(), f_cur
 
     for i in range(1, cfg.iters + 1):
-        g = finite_diff_gradient(f, w, cfg.fd_step)
+        g = _stencil_gradient(values[1:], w, cfg.fd_step)
         m, v = _update_moments(m, v, g, cfg.beta1, cfg.beta2)
         m_hat = m / (1.0 - cfg.beta1 ** i)
         v_hat = v / (1.0 - cfg.beta2 ** i)
         w = w + sign * cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        f_cur = float(f(w))
+        # The last iterate needs no gradient, so it is scored alone.
+        values = evaluate(_stencil(w, cfg.fd_step) if i < cfg.iters else w[None, :])
+        f_cur = float(values[0])
         trace.append(f_cur)
         if f_cur > best_f:
             best_w, best_f = w.copy(), f_cur

@@ -202,3 +202,92 @@ def test_sample_scattering_deterministic_and_normalized():
     big = sample_scattering(RngStream(4, "scatter"), 10, 2000)
     var = np.mean(np.abs(big.ris_gu) ** 2)
     assert var == pytest.approx(1.0, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Batches of UAV positions: each row must get the bits it gets alone
+# ---------------------------------------------------------------------------
+
+def batch_instance(rows, cols, k=4, seed=3):
+    scn = dataclasses.replace(
+        with_gu_positions(default_scenario(),
+                          [(190.0, 15.0), (205.0, 30.0), (212.0, 22.0), (198.0, 38.0)][:k]),
+        ris_rows=rows, ris_cols=cols)
+    scatter = sample_scattering(RngStream(seed, "scatter"), k, rows * cols)
+    return scn, scatter
+
+
+def uav_batch(n, seed=0):
+    """n UAV positions around the users, plus the Adam stencil of the first one."""
+    rng = np.random.default_rng(seed)
+    w = np.column_stack([rng.uniform(150.0, 250.0, n), rng.uniform(-40.0, 90.0, n)])
+    h = 0.5
+    stencil = w[0] + np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    return np.vstack([w, stencil])
+
+
+def ref_channel_uav_ris(scn, w):
+    """One position at a time, with the norm of one vector (a BLAS dot product)."""
+    ris = np.asarray(scn.ris_position, dtype=float)
+    hnorm = float(np.linalg.norm(ris - w))
+    d = float(np.hypot(hnorm, scn.uav_altitude - scn.ris_altitude))
+    sv = steering_vector(scn.ris_rows, scn.ris_cols, scn.row_spacing, scn.col_spacing,
+                         scn.wavelength, (w[1] - ris[1]) / hnorm, (ris[0] - w[0]) / hnorm,
+                         (scn.uav_altitude - scn.ris_altitude) / d)
+    return (np.sqrt(scn.ref_path_loss) / d) * sv
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (6, 10), (12, 20)])
+def test_channel_uav_ris_batch_matches_per_point_loop(rows, cols):
+    scn, _ = batch_instance(rows, cols)
+    w = uav_batch(40)
+    batch = channel_uav_ris(scn, w)
+    assert batch.shape == (len(w), rows * cols)
+    for i, point in enumerate(w):
+        assert np.array_equal(batch[i], channel_uav_ris(scn, point))
+        assert np.array_equal(batch[i], ref_channel_uav_ris(scn, point))
+    # Any leading axes, not only one.
+    grid = channel_uav_ris(scn, w[:12].reshape(3, 4, 2))
+    assert np.array_equal(grid.reshape(12, -1), batch[:12])
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (6, 10), (12, 20)])
+def test_build_channel_set_batch_matches_per_point_loop(rows, cols):
+    scn, scatter = batch_instance(rows, cols)
+    cached = ris_gu_block(scn, scatter)
+    w = uav_batch(40, seed=1)
+    batch = build_channel_set(scn, w, scatter, ris_gu=cached)
+    assert batch.direct.shape == (len(w), scn.num_gus)
+    assert batch.uav_ris.shape == (len(w), rows * cols)
+    assert batch.ris_gu is cached
+    for i, point in enumerate(w):
+        one = build_channel_set(scn, point, scatter, ris_gu=cached)
+        assert np.array_equal(batch.direct[i], one.direct)
+        assert np.array_equal(batch.uav_ris[i], one.uav_ris)
+
+
+def test_steering_vector_broadcasts_over_directions():
+    rng = np.random.default_rng(4)
+    phi, varphi = rng.uniform(-1.0, 1.0, (2, 9))
+    psi = rng.uniform(0.1, 1.0, 9)
+    batch = steering_vector(3, 4, 0.05, 0.05, 0.1, phi, varphi, psi)
+    assert batch.shape == (9, 12)
+    for i in range(9):
+        assert np.array_equal(batch[i], steering_vector(3, 4, 0.05, 0.05, 0.1,
+                                                        phi[i], varphi[i], psi[i]))
+
+
+def test_steering_vector_batch_rejects_one_bad_direction_cosine():
+    varphi = np.array([0.2, -0.4, 1.0 + 1.0e-6])
+    with pytest.raises(ValueError, match="varphi"):
+        steering_vector(2, 2, 0.05, 0.05, 0.1, np.zeros(3), varphi, np.full(3, 0.5))
+
+
+def test_batch_with_one_uav_over_the_ris_raises():
+    scn, scatter = batch_instance(6, 10)
+    w = uav_batch(5)
+    w[3] = scn.ris_position
+    with pytest.raises(GeometryError):
+        channel_uav_ris(scn, w)
+    with pytest.raises(GeometryError):
+        build_channel_set(scn, w, scatter)

@@ -15,8 +15,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from risuav.channel import (ScatteringDraw, build_channel_set, effective_channels,
-                            sample_scattering)
+from risuav.channel import (GeometryError, ScatteringDraw, build_channel_set,
+                            effective_channels, sample_scattering)
 from risuav.objective import (PenaltyConfig, SolutionState, check_constraints,
                               energy_efficiency, hover_power, onoff_fitness,
                               penalized_fitness, per_gu_rates, phase_power_fitness,
@@ -321,3 +321,30 @@ def test_placement_objective_matches_scalar_path():
         cand.uav_pos = np.asarray(w)
         assert objective(np.asarray(w)) == pytest.approx(
             penalized_fitness(cand, scatter, scn), rel=1e-12)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (6, 10), (12, 20)])
+def test_placement_objective_batch_matches_per_point_loop(rows, cols):
+    scn = dataclasses.replace(full_instance()[0], ris_rows=rows, ris_cols=cols)
+    scatter = sample_scattering(RngStream(1, "scatter"), 4, rows * cols)
+    sol = solved_state(scn, rng_seed=2)
+    objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
+                                    sol.powers, PenaltyConfig())
+    rng = np.random.default_rng(5)
+    w = np.column_stack([rng.uniform(150.0, 250.0, 30), rng.uniform(-40.0, 90.0, 30)])
+    batch = objective(w)
+    assert batch.shape == (30,)
+    for i, point in enumerate(w):
+        one = objective(point)
+        assert type(one) is float
+        assert np.array_equal(batch[i], one)
+
+
+def test_placement_objective_batch_over_the_ris_raises():
+    scn, scatter = full_instance()
+    sol = solved_state(scn)
+    objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
+                                    sol.powers, PenaltyConfig())
+    w = np.array([[200.0, 50.0], list(scn.ris_position), [210.0, 10.0]])
+    with pytest.raises(GeometryError):
+        objective(w)

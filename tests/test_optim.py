@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from risuav.channel import sample_scattering
+from risuav.objective import PenaltyConfig, placement_objective
 from risuav.optim import (DEFAULT_THETA_SIGMA, AdamConfig, GaConfig, adam_maximize,
                           crossover_blend, crossover_single_point,
                           finite_diff_gradient, ga_binary_run, ga_continuous_run,
                           mutate_continuous, repair_power, selection_sample,
                           wrap_phase)
+from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
+                             with_gu_positions)
 
 TWO_PI = 2.0 * np.pi
 
@@ -348,6 +352,94 @@ def test_adam_descent_flag_reverses_direction():
     w, trace = adam_maximize(lambda v: 3.0 * v[0] + 2.0 * v[1], np.zeros(2), cfg)
     np.testing.assert_array_equal(w, [0.0, 0.0])
     assert np.all(np.diff(trace) < 0.0)
+
+
+def _ref_adam_maximize(f, w0, cfg):
+    """Adam as one scalar call per point: f(w0), then per step the four stencil
+    points (+e_0, -e_0, +e_1, -e_1) and the new iterate."""
+    w = np.asarray(w0, dtype=float).copy()
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    sign = 1.0 if cfg.ascent else -1.0
+    f_cur = float(f(w))
+    trace = [f_cur]
+    best_w, best_f = w.copy(), f_cur
+    for i in range(1, cfg.iters + 1):
+        g = np.empty(w.size)
+        for j in range(w.size):
+            e = np.zeros(w.size)
+            e[j] = cfg.fd_step
+            g[j] = (float(f(w + e)) - float(f(w - e))) / (2.0 * cfg.fd_step)
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        m_hat = m / (1.0 - cfg.beta1 ** i)
+        v_hat = v / (1.0 - cfg.beta2 ** i)
+        w = w + sign * cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        f_cur = float(f(w))
+        trace.append(f_cur)
+        if f_cur > best_f:
+            best_w, best_f = w.copy(), f_cur
+    return best_w, np.asarray(trace)
+
+
+def placement_field(seed=2):
+    """The placement objective of a K=4, M=60 instance with random phases."""
+    scn = with_gu_positions(default_scenario(),
+                            sample_gu_positions(RngStream(seed, "gu-positions"), 4))
+    scatter = sample_scattering(RngStream(seed, "scatter"), 4, scn.num_elements)
+    rng = np.random.default_rng(seed)
+    return placement_objective(scn, scatter, np.ones(60), rng.uniform(0, TWO_PI, 60),
+                               np.full(4, 0.25), PenaltyConfig())
+
+
+class CountingField:
+    """Records every point the wrapped field is called on, one list per call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, w):
+        self.calls.append(np.array(w, copy=True))
+        return self.f(w)
+
+
+@pytest.mark.parametrize("ascent", [True, False])
+def test_adam_vectorized_matches_scalar_path_on_placement_field(ascent):
+    field = placement_field()
+    cfg = AdamConfig(step=1.0, iters=30, fd_step=0.5, ascent=ascent)
+    start = np.array([150.0, 90.0])
+    scalar, batched, ref = CountingField(field), CountingField(field), CountingField(field)
+    w_s, trace_s = adam_maximize(scalar, start, cfg)
+    w_v, trace_v = adam_maximize(batched, start, cfg, vectorized=True)
+    w_r, trace_r = _ref_adam_maximize(ref, start, cfg)
+    assert np.array_equal(w_v, w_s) and np.array_equal(w_s, w_r)
+    assert np.array_equal(trace_v, trace_s) and np.array_equal(trace_s, trace_r)
+    assert trace_v.shape == (cfg.iters + 1,)
+    # The scalar path visits the points of the one-call-per-point loop, in order.
+    assert len(scalar.calls) == len(ref.calls) == 5 * cfg.iters + 1
+    for a, b in zip(scalar.calls, ref.calls):
+        assert np.array_equal(a, b)
+    # The vectorized path makes one call per step, iterate plus stencil, and
+    # scores the last iterate alone; the points come in the same order.
+    assert len(batched.calls) == cfg.iters + 1
+    assert [len(c) for c in batched.calls] == [5] * cfg.iters + [1]
+    assert np.array_equal(np.concatenate(batched.calls), np.array(ref.calls))
+
+
+def test_adam_vectorized_rejects_a_scalar_objective():
+    with pytest.raises(ValueError, match="shape"):
+        adam_maximize(lambda v: 3.0 * v[0] + 2.0 * v[1], np.zeros(2),
+                      AdamConfig(iters=2), vectorized=True)
+
+
+def test_adam_vectorized_rejects_non_finite_stencil():
+    def field(w):
+        values = -np.sum(w ** 2, axis=-1)
+        values[1:] = np.nan
+        return values
+    with pytest.raises(FloatingPointError):
+        adam_maximize(field, np.ones(2), AdamConfig(iters=3), vectorized=True)
 
 
 def test_default_theta_sigma_value():
