@@ -9,7 +9,9 @@ Subcommands:
 Shared flags (given after the subcommand): --scenario, --seed, --out, --workers,
 --delta, --max-outer. --seed is the first of --seeds consecutive master seeds.
 With ``run``, a shared flag that is given overrides the spec's field; --seed is
-rejected there because the spec lists its own seeds.
+rejected there because the spec lists its own seeds. The oracle runs no outer
+loop, so --delta and --max-outer are rejected for it, from ``oracle`` and from
+``run`` with an oracle spec alike.
 """
 
 from __future__ import annotations
@@ -91,12 +93,20 @@ def _given_flags(args: argparse.Namespace) -> dict:
     return {key: val for key, val in fields.items() if val is not None}
 
 
+def _reject_outer_loop_flags(args: argparse.Namespace) -> None:
+    for flag, value in (("--delta", args.delta), ("--max-outer", args.max_outer)):
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to the oracle: it runs no outer loop")
+
+
 def spec_from_args(args: argparse.Namespace) -> harness.ExperimentSpec:
     common = _given_flags(args)
     if args.command == "run":
         if args.seed is not None:
             raise ValueError("--seed does not apply to run: the spec file lists its seeds")
         spec = harness.load_spec(args.spec)
+        if spec.kind == "oracle":
+            _reject_outer_loop_flags(args)
         if common:
             spec = harness.validate_spec(dataclasses.replace(spec, **common))
         return spec
@@ -113,6 +123,7 @@ def spec_from_args(args: argparse.Namespace) -> harness.ExperimentSpec:
             kind="sweep-elements", seeds=seeds, sweep_values=tuple(args.m),
             fixed_gus=args.k, **common))
     # oracle
+    _reject_outer_loop_flags(args)
     return harness.validate_spec(harness.ExperimentSpec(
         kind="oracle", seeds=(first_seed,), sweep_values=(args.m,),
         fixed_gus=args.k, theta_grid=args.theta_grid,

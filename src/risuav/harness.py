@@ -47,6 +47,8 @@ RESULT_HEADER = ("scheme,sweep_value,seed,eta_bits_per_joule,sum_rate_bps,"
 # the initial UAV position; power line-search resolution for K >= 2.
 ORACLE_PLACEMENT_BOX = ((175.0, 225.0), (0.0, 50.0))
 ORACLE_POWER_GRID = 16
+ORACLE_MAX_ELEMENTS = 4
+ORACLE_MAX_GUS = 2
 _MAX_ENUMERATION = 10_000_000
 
 
@@ -108,6 +110,19 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
         raise ValueError(f"workers must be >= 1, got {spec.workers}")
     if spec.theta_grid < 1 or spec.placement_grid < 1:
         raise ValueError("theta_grid and placement_grid must be >= 1")
+    if spec.kind == "oracle":
+        if max(spec.sweep_values) > ORACLE_MAX_ELEMENTS:
+            raise ValueError(f"oracle sweep_values (element counts) must be in "
+                             f"1..{ORACLE_MAX_ELEMENTS}, got {spec.sweep_values}")
+        if not 1 <= spec.fixed_gus <= ORACLE_MAX_GUS:
+            raise ValueError(f"oracle fixed_gus must be in 1..{ORACLE_MAX_GUS}, "
+                             f"got {spec.fixed_gus}")
+        n_combos = _oracle_enumeration(max(spec.sweep_values), spec.theta_grid,
+                                       spec.placement_grid)
+        if n_combos > _MAX_ENUMERATION:
+            raise ValueError(f"oracle enumeration size {n_combos} from theta_grid="
+                             f"{spec.theta_grid} and placement_grid={spec.placement_grid} "
+                             f"exceeds {_MAX_ENUMERATION}")
     return spec
 
 
@@ -276,6 +291,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
+def _oracle_enumeration(m: int, theta_grid: int, placement_grid: int) -> int:
+    """(pattern, phase, position) triples the oracle visits for m elements."""
+    return (2 ** m) * (theta_grid ** m) * (placement_grid ** 2)
+
+
 def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
                scn: Scenario | None = None, seed: int = 0,
                power_grid: int = ORACLE_POWER_GRID,
@@ -288,15 +308,21 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     over uniform-split scalings. m=0 degenerates to a no-RIS search (a single
     all-off element). Returns (best eta, best SolutionState). The instance is
     derived from (scn, seed) exactly as the experiment cells derive theirs, so
-    oracle and solver runs pair up.
+    oracle and solver runs pair up. Ties go to the first (position, pattern,
+    scale, phase row) in enumeration order.
+
+    Each pattern's effective channels are built GU-major, (k, T), and reach the
+    kernel as a (T, k) view, so its reductions over k run as whole-column
+    passes; that is bit-identical to the row-major layout only because k <= 2,
+    and a sum of two terms rounds the same in either order.
     """
-    if not 0 <= m <= 4:
-        raise ValueError(f"oracle supports m in [0, 4], got {m}")
-    if not 1 <= k <= 2:
-        raise ValueError(f"oracle supports k in [1, 2], got {k}")
+    if not 0 <= m <= ORACLE_MAX_ELEMENTS:
+        raise ValueError(f"oracle supports m in [0, {ORACLE_MAX_ELEMENTS}], got {m}")
+    if not 1 <= k <= ORACLE_MAX_GUS:
+        raise ValueError(f"oracle supports k in [1, {ORACLE_MAX_GUS}], got {k}")
     if theta_grid < 1 or placement_grid < 1 or power_grid < 1:
         raise ValueError("grid sizes must be >= 1")
-    n_combos = (2 ** m) * (theta_grid ** m) * (placement_grid ** 2)
+    n_combos = _oracle_enumeration(m, theta_grid, placement_grid)
     if n_combos > _MAX_ENUMERATION:
         raise ValueError(f"enumeration size {n_combos} exceeds {_MAX_ENUMERATION}")
 
@@ -323,32 +349,33 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     (x_lo, x_hi), (y_lo, y_hi) = placement_box
     xs = np.linspace(x_lo, x_hi, placement_grid)
     ys = np.linspace(y_lo, y_hi, placement_grid)
+    lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    # Directly above the RIS the azimuth is undefined; drop that lattice point.
+    keep = np.hypot(lattice[:, 0] - inst.ris_position[0],
+                    lattice[:, 1] - inst.ris_position[1]) >= 1.0e-9
+    lattice = lattice[keep]
+    if len(lattice) == 0:
+        raise RuntimeError("every point of the oracle's placement lattice is above the RIS")
 
     p_h = scenario_hover_power(inst)
-    cached = ris_gu_block(inst, scatter)
+    chans = build_channel_set(inst, lattice, scatter, ris_gu=ris_gu_block(inst, scatter))
+    v_all = np.conj(chans.ris_gu) * chans.uav_ris[:, None, :]  # (P, k, m_eff)
 
     best_eta = -np.inf
     best = None
-    for wx in xs:
-        for wy in ys:
-            w = np.array([wx, wy])
-            # Directly above the RIS the azimuth is undefined; skip that lattice point.
-            if np.hypot(wx - inst.ris_position[0], wy - inst.ris_position[1]) < 1.0e-9:
-                continue
-            chans = build_channel_set(inst, w, scatter, ris_gu=cached)
-            v = np.conj(chans.ris_gu) * chans.uav_ris[None, :]  # (k, m_eff)
-            for pat in patterns:
-                c_eff = chans.direct[None, :] + (phase_factors * pat[None, :]) @ v.T
-                n_on = pat.sum()
-                for c in scales:
-                    p = c * p_split
-                    rates, _, eta = evaluate_efficiency(c_eff, p[None, :], n_on, inst, p_h)
-                    eta = np.where(np.all(rates >= inst.min_rate, axis=1), eta, -np.inf)
-                    j = int(np.argmax(eta))
-                    if eta[j] > best_eta:
-                        best_eta = float(eta[j])
-                        best = SolutionState(onoff=pat.copy(), phases=thetas[j].copy(),
-                                             powers=p.copy(), uav_pos=w.copy())
+    for w, direct, v in zip(lattice, chans.direct, v_all):
+        for pat in patterns:
+            c_eff = (direct[:, None] + v @ (phase_factors * pat).T).T  # (T, k) view
+            n_on = pat.sum()
+            for c in scales:
+                p = c * p_split
+                rates, _, eta = evaluate_efficiency(c_eff, p[None, :], n_on, inst, p_h)
+                eta = np.where(np.all(rates >= inst.min_rate, axis=-1), eta, -np.inf)
+                j = int(np.argmax(eta))
+                if eta[j] > best_eta:
+                    best_eta = float(eta[j])
+                    best = SolutionState(onoff=pat.copy(), phases=thetas[j].copy(),
+                                         powers=p.copy(), uav_pos=w.copy())
     if best is None:
         raise RuntimeError("no rate-feasible point in the oracle's enumeration")
     return best_eta, best

@@ -156,3 +156,49 @@ def test_run_rejects_seed_flag(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+def _oracle_spec_file(tmp_path):
+    spec_path = tmp_path / "oracle.json"
+    spec_path.write_text(json.dumps({
+        "kind": "oracle",
+        "scenario_inline": {"num_gus": 1, "ris_rows": 1, "ris_cols": 1},
+        "sweep_values": [1],
+        "seeds": [0],
+        "theta_grid": 2,
+        "placement_grid": 2,
+        "fixed_gus": 1,
+    }), encoding="utf-8")
+    return spec_path
+
+
+@pytest.mark.parametrize("flag, value", [("--delta", "5"), ("--max-outer", "0")])
+def test_oracle_rejects_outer_loop_flags(tmp_path, capsys, flag, value):
+    for argv in (["oracle", "--m", "1", flag, value],
+                 ["run", "--spec", str(_oracle_spec_file(tmp_path)), flag, value]):
+        with pytest.raises(ValueError, match=flag):
+            spec_from_args(parse(argv))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "never")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+
+def test_run_oracle_spec_keeps_other_flags(tmp_path):
+    spec = spec_from_args(parse(["run", "--spec", str(_oracle_spec_file(tmp_path)),
+                                 "--workers", "2"]))
+    assert (spec.kind, spec.workers) == ("oracle", 2)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["oracle", "--m", "5"], "sweep_values"),
+    (["oracle", "--k", "3"], "fixed_gus"),
+    (["oracle", "--m", "4", "--theta-grid", "29", "--placement-grid", "1"], "theta_grid"),
+])
+def test_oracle_rejects_bad_fields_before_any_cell(tmp_path, capsys, argv, field):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "never")])
+    assert exc.value.code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()

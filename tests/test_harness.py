@@ -5,14 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from risuav.channel import build_channel_set, effective_channels
+from risuav.channel import build_channel_set, effective_channels, ris_gu_block
 from risuav.harness import (ALL_SCHEMES, RESULT_HEADER, ExperimentResult,
                             ExperimentRow, ExperimentSpec, build_instance,
                             emit_csv, emit_traces, load_spec, near_square_factors,
                             resolve_base_scenario, run_experiment, run_oracle,
                             spec_from_dict, spec_to_dict, validate_spec,
                             write_outputs)
-from risuav.objective import per_gu_rates, total_power
+from risuav.objective import (SolutionState, check_constraints, evaluate_efficiency,
+                              per_gu_rates, scenario_hover_power, total_power)
 from risuav.scenario import default_scenario, scenario_from_dict
 
 TINY = {"num_gus": 1, "ris_rows": 1, "ris_cols": 2}
@@ -51,6 +52,29 @@ def test_validate_spec_errors():
         validate_spec(ExperimentSpec(schemes=("proposed", "mystery")))
     with pytest.raises(ValueError, match="workers"):
         validate_spec(ExperimentSpec(workers=0))
+
+
+def test_validate_spec_rejects_oracle_fields():
+    def oracle(**kwargs):
+        return ExperimentSpec(**{"kind": "oracle", "sweep_values": (2,), "fixed_gus": 1,
+                                 **kwargs})
+    assert validate_spec(oracle(sweep_values=(1, 4), fixed_gus=2)).kind == "oracle"
+    with pytest.raises(ValueError, match="sweep_values"):
+        validate_spec(oracle(sweep_values=(2, 5)))
+    with pytest.raises(ValueError, match="sweep_values"):
+        validate_spec(oracle(sweep_values=(0,)))
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="fixed_gus"):
+            validate_spec(oracle(fixed_gus=k))
+    # 2^4 * 28^4 = 9,834,496 points fit under 10,000,000; 2^4 * 29^4 does not.
+    assert validate_spec(oracle(sweep_values=(4,), theta_grid=28, placement_grid=1))
+    with pytest.raises(ValueError, match="enumeration size .* theta_grid=29"):
+        validate_spec(oracle(sweep_values=(4,), theta_grid=29, placement_grid=1))
+    with pytest.raises(ValueError, match="placement_grid=4000"):
+        validate_spec(oracle(sweep_values=(1,), theta_grid=1, placement_grid=4000))
+    # Sweeps other than the oracle keep their own limits.
+    assert validate_spec(ExperimentSpec(kind="sweep-elements", sweep_values=(60,),
+                                        fixed_gus=4))
 
 
 def test_spec_round_trip():
@@ -223,6 +247,95 @@ def test_run_oracle_two_user_power_search():
     assert eta > 0
     assert sol.powers.shape == (2,)
     assert np.sum(sol.powers) <= 1.0 + 1e-12
+
+
+def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed, power_grid=16):
+    """The oracle as one kernel call per (position, pattern, scale), rows phase-major.
+
+    Returns (best eta, best SolutionState, feasible rows, infeasible rows); the
+    first occurrence of the best eta wins, in lattice, pattern, scale, row order.
+    """
+    inst, scatter, _ = build_instance(scn, k, max(m, 1), seed)
+    if m == 0:
+        patterns, thetas = np.zeros((1, 1)), np.zeros((1, 1))
+    else:
+        patterns = ((np.arange(2 ** m)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
+        levels = 2.0 * np.pi * np.arange(theta_grid) / theta_grid
+        thetas = levels[np.indices((theta_grid,) * m).reshape(m, -1).T]
+    phase_factors = np.exp(1j * thetas)
+    scales = np.array([1.0]) if k == 1 else np.linspace(1.0 / power_grid, 1.0, power_grid)
+    p_split = np.full(k, inst.max_power / k)
+    p_h = scenario_hover_power(inst)
+    cached = ris_gu_block(inst, scatter)
+    best_eta, best, n_ok, n_bad = -np.inf, None, 0, 0
+    for wx in np.linspace(175.0, 225.0, placement_grid):
+        for wy in np.linspace(0.0, 50.0, placement_grid):
+            w = np.array([wx, wy])
+            if np.hypot(wx - inst.ris_position[0], wy - inst.ris_position[1]) < 1.0e-9:
+                continue
+            chans = build_channel_set(inst, w, scatter, ris_gu=cached)
+            v = np.conj(chans.ris_gu) * chans.uav_ris[None, :]
+            for pat in patterns:
+                c_eff = chans.direct[None, :] + (phase_factors * pat[None, :]) @ v.T
+                for c in scales:
+                    p = c * p_split
+                    rates, _, eta = evaluate_efficiency(c_eff, p[None, :], pat.sum(), inst, p_h)
+                    ok = np.all(rates >= inst.min_rate, axis=1)
+                    n_ok += int(ok.sum())
+                    n_bad += int((~ok).sum())
+                    eta = np.where(ok, eta, -np.inf)
+                    j = int(np.argmax(eta))
+                    if eta[j] > best_eta:
+                        best_eta = float(eta[j])
+                        best = SolutionState(onoff=pat.copy(), phases=thetas[j].copy(),
+                                             powers=p.copy(), uav_pos=w.copy())
+    return best_eta, best, n_ok, n_bad
+
+
+def _assert_same_solution(sol, ref):
+    for field in ("onoff", "phases", "powers", "uav_pos"):
+        assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("m, k, theta_grid, placement_grid, seeds", [
+    (4, 2, 3, 3, (0, 1)),
+    (3, 2, 4, 3, (0, 1, 2)),
+    (2, 1, 5, 4, (0, 1, 2)),
+    (1, 2, 8, 4, (0, 1, 2)),
+    (0, 2, 3, 4, (0, 1, 2)),
+])
+def test_run_oracle_bitwise_matches_reference_loop(m, k, theta_grid, placement_grid, seeds):
+    base = default_scenario()
+    for seed in seeds:
+        eta, sol = run_oracle(m, k, theta_grid, placement_grid, scn=base, seed=seed)
+        ref_eta, ref, _, _ = _oracle_reference(m, k, theta_grid, placement_grid, base, seed)
+        assert eta == ref_eta
+        _assert_same_solution(sol, ref)
+
+
+def test_run_oracle_bitwise_with_infeasible_rows():
+    # The rate floor sits just above the weaker GU's rate at the unconstrained
+    # optimum, so the -inf mask moves the answer. Costly elements leave one off
+    # at seed 1; its tied phase rows must resolve to the first.
+    costly = scenario_from_dict({"ru_power": 0.5})
+    some_off = False
+    for seed in (1, 2):
+        free_eta, free, _, _ = _oracle_reference(3, 2, 4, 3, costly, seed)
+        scn, scatter, _ = build_instance(costly, 2, 3, seed)
+        floor = 1.001 * check_constraints(free, scatter, scn).per_gu_rate.min()
+        base = scenario_from_dict({"ru_power": 0.5, "min_rate": float(floor)})
+        eta, sol = run_oracle(3, 2, 4, 3, scn=base, seed=seed)
+        ref_eta, ref, n_ok, n_bad = _oracle_reference(3, 2, 4, 3, base, seed)
+        assert n_ok > 0 and n_bad > 0 and ref_eta < free_eta
+        assert eta == ref_eta
+        _assert_same_solution(sol, ref)
+        some_off |= not ref.onoff.all()
+    assert some_off
+
+
+def test_run_oracle_lattice_only_above_the_ris():
+    with pytest.raises(RuntimeError, match="above the RIS"):
+        run_oracle(1, 1, 2, 1, placement_box=((200.0, 200.0), (0.0, 0.0)))
 
 
 def test_run_oracle_size_limits():
