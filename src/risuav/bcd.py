@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ScatteringDraw, build_channel_set, ris_gu_block
+from .channel import GeometryError, ScatteringDraw, build_channel_set, ris_gu_block
 from .objective import (ConstraintReport, PenaltyConfig, SolutionState, check_constraints,
                         onoff_fitness, penalized_fitness, phase_power_fitness,
                         placement_objective, power_fitness, validate_solution)
@@ -124,15 +124,20 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
             if val >= cur:
                 sol, cur = cand, val
 
-        # (c) UAV placement
+        # (c) UAV placement. A stencil point with undefined or non-finite
+        # channels ends the climb as a rejected proposal: the UAV stays put.
         objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
                                         sol.powers, cfg.penalty)
-        w_best, _ = adam_maximize(objective, sol.uav_pos, cfg.adam_cfg, vectorized=True)
-        cand = sol.copy()
-        cand.uav_pos = np.asarray(w_best, dtype=float)
-        val = score(cand)
-        if val >= cur:
-            sol, cur = cand, val
+        try:
+            w_best, _ = adam_maximize(objective, sol.uav_pos, cfg.adam_cfg, vectorized=True)
+        except (GeometryError, FloatingPointError):
+            pass
+        else:
+            cand = sol.copy()
+            cand.uav_pos = np.asarray(w_best, dtype=float)
+            val = score(cand)
+            if val >= cur:
+                sol, cur = cand, val
 
         prev = trace[-1]
         trace.append(cur)

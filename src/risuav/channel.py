@@ -2,7 +2,7 @@
 
 Three links per GU: a Rician direct UAV-GU scalar, a pure-LOS UAV-RIS vector built
 from the planar-array steering response, and a Rician RIS-GU vector whose LOS part
-is the matching steering response on the GU side. ``effective_channel`` composes
+is the matching steering response on the GU side. ``effective_channels`` composes
 them with the per-element phase shifts and on-off states.
 
 Scattering components are drawn once per run (see :class:`ScatteringDraw`) and held
@@ -134,26 +134,6 @@ def channel_uav_ris(scn: Scenario, w_u) -> np.ndarray:
     return (np.sqrt(scn.ref_path_loss) / d)[..., None] * sv
 
 
-def channel_ris_gu(scn: Scenario, k: int, scatter: ScatteringDraw) -> np.ndarray:
-    """Rician RIS to GU k vector; LOS part is the GU-side steering response."""
-    gu = scn.gu_array()[k]
-    ris = np.asarray(scn.ris_position, dtype=float)
-    hnorm = float(np.linalg.norm(gu - ris))
-    if hnorm == 0.0:
-        raise GeometryError(f"GU {k} horizontally coincident with the RIS")
-    d = float(np.hypot(hnorm, scn.ris_altitude))
-    phi = (gu[1] - ris[1]) / hnorm
-    varphi = (gu[0] - ris[0]) / hnorm
-    psi = scn.ris_altitude / d
-    los = steering_vector(scn.ris_rows, scn.ris_cols, scn.row_spacing, scn.col_spacing,
-                          scn.wavelength, phi, varphi, psi)
-    amp = np.sqrt(scn.ref_path_loss / d ** scn.pathloss_exp_rg)
-    kap = scn.rician_rg
-    los_w = np.sqrt(kap / (kap + 1.0))
-    sc_w = np.sqrt(1.0 / (kap + 1.0))
-    return amp * (los_w * los + sc_w * scatter.ris_gu[k])
-
-
 def build_channel_set(scn: Scenario, w_u, scatter: ScatteringDraw,
                       ris_gu: np.ndarray | None = None) -> ChannelSet:
     """All gains for one UAV position (2,) or a batch of them (..., 2), vectorized over GUs.
@@ -209,26 +189,6 @@ def ris_gu_block(scn: Scenario, scatter: ScatteringDraw) -> np.ndarray:
     kap = scn.rician_rg
     return amp[:, None] * (np.sqrt(kap / (kap + 1.0)) * los
                            + np.sqrt(1.0 / (kap + 1.0)) * scatter.ris_gu)
-
-
-def effective_channel(h_ug: complex, h_rg: np.ndarray, h_ur: np.ndarray,
-                      theta: np.ndarray, x: np.ndarray) -> complex:
-    """Compose one GU's effective gain: direct plus the phase-shifted reflection.
-
-    C = h_ug + sum_m conj(h_rg[m]) * x[m] * exp(j*theta[m]) * h_ur[m]
-    """
-    h_rg = np.asarray(h_rg)
-    h_ur = np.asarray(h_ur)
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    m = h_rg.shape[-1] if h_rg.ndim else 0
-    if not (h_ur.shape[-1] == theta.shape[-1] == x.shape[-1] == m):
-        raise ValueError(
-            f"length mismatch: h_rg {h_rg.shape}, h_ur {h_ur.shape}, "
-            f"theta {theta.shape}, x {x.shape}")
-    if m and not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError("on-off entries must be 0 or 1")
-    return complex(h_ug + np.sum(np.conj(h_rg) * x * np.exp(1j * theta) * h_ur))
 
 
 def effective_channels(chans: ChannelSet, theta: np.ndarray, x: np.ndarray) -> np.ndarray:

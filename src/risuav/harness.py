@@ -292,7 +292,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def _oracle_enumeration(m: int, theta_grid: int, placement_grid: int) -> int:
-    """(pattern, phase, position) triples the oracle visits for m elements."""
+    """(pattern, phase, position) triples in the oracle's logical enumeration.
+
+    This is the size that validation bounds, not the number of rows the oracle
+    scores: it scores each pattern's distinct phase rows only (see run_oracle).
+    """
     return (2 ** m) * (theta_grid ** m) * (placement_grid ** 2)
 
 
@@ -311,10 +315,17 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     oracle and solver runs pair up. Ties go to the first (position, pattern,
     scale, phase row) in enumeration order.
 
-    Each pattern's effective channels are built GU-major, (k, T), and reach the
-    kernel as a (T, k) view, so its reductions over k run as whole-column
-    passes; that is bit-identical to the row-major layout only because k <= 2,
-    and a sum of two terms rounds the same in either order.
+    Phase rows that differ only where the pattern is off give the same channels
+    bit for bit, so each pattern scores only its distinct rows, theta_grid^n_on
+    of them: the first of each set of duplicates, with its off phases at level 0.
+    Dropping later duplicates cannot move a tie, which the first row wins anyway.
+    One kernel call scores a pattern's rows at several power scales, as many as
+    keep it within theta_grid^max(m, 1) rows, and its scale-major argmax keeps
+    the (scale, row) order. Each pattern's effective channels are built
+    GU-major, (k, T), and reach the kernel as a (T, k) view, so its reductions
+    over k run as whole-column passes; that is bit-identical to the row-major
+    layout only because k <= 2, and a sum of two terms rounds the same in
+    either order.
     """
     if not 0 <= m <= ORACLE_MAX_ELEMENTS:
         raise ValueError(f"oracle supports m in [0, {ORACLE_MAX_ELEMENTS}], got {m}")
@@ -339,12 +350,17 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
         idx = np.indices((theta_grid,) * m).reshape(m, -1).T
         thetas = levels[idx]
     phase_factors = np.exp(1j * thetas)
+    # Per pattern: its distinct phase rows (off phases at level 0), in order.
+    blocks = []
+    for pat in patterns:
+        rows = np.flatnonzero(np.all(thetas[:, pat == 0] == 0.0, axis=1))
+        blocks.append((pat, rows, phase_factors[rows] * pat))
 
     if k == 1:
         scales = np.array([1.0])
     else:
         scales = np.linspace(1.0 / power_grid, 1.0, power_grid)
-    p_split = np.full(k, inst.max_power / k)
+    powers = scales[:, None] * np.full(k, inst.max_power / k)  # (S, k)
 
     (x_lo, x_hi), (y_lo, y_hi) = placement_box
     xs = np.linspace(x_lo, x_hi, placement_grid)
@@ -363,19 +379,21 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
 
     best_eta = -np.inf
     best = None
+    max_rows = theta_grid ** m_eff
     for w, direct, v in zip(lattice, chans.direct, v_all):
-        for pat in patterns:
-            c_eff = (direct[:, None] + v @ (phase_factors * pat).T).T  # (T, k) view
+        for pat, rows, block in blocks:
+            c_eff = (direct[:, None] + v @ block.T).T  # (T, k) view
             n_on = pat.sum()
-            for c in scales:
-                p = c * p_split
-                rates, _, eta = evaluate_efficiency(c_eff, p[None, :], n_on, inst, p_h)
+            step = max(1, max_rows // len(rows))
+            for s0 in range(0, len(powers), step):
+                rates, _, eta = evaluate_efficiency(c_eff, powers[s0:s0 + step, None, :],
+                                                    n_on, inst, p_h)
                 eta = np.where(np.all(rates >= inst.min_rate, axis=-1), eta, -np.inf)
-                j = int(np.argmax(eta))
-                if eta[j] > best_eta:
-                    best_eta = float(eta[j])
-                    best = SolutionState(onoff=pat.copy(), phases=thetas[j].copy(),
-                                         powers=p.copy(), uav_pos=w.copy())
+                s, j = np.unravel_index(np.argmax(eta), eta.shape)
+                if eta[s, j] > best_eta:
+                    best_eta = float(eta[s, j])
+                    best = SolutionState(onoff=pat.copy(), phases=thetas[rows[j]].copy(),
+                                         powers=powers[s0 + s].copy(), uav_pos=w.copy())
     if best is None:
         raise RuntimeError("no rate-feasible point in the oracle's enumeration")
     return best_eta, best

@@ -85,15 +85,6 @@ def hover_power(mass_kg: float, gravity: float, prop_radius_m: float,
                                         * num_props * air_density)))
 
 
-def sinr(channels, powers, k: int, noise: float) -> float:
-    """SINR of GU k: |C_k|^2 p_k / (|C_k|^2 * sum_{t != k} p_t + noise)."""
-    c = np.asarray(channels)
-    p = np.asarray(powers, dtype=float)
-    gain = float(np.abs(c[k]) ** 2)
-    interference = gain * float(p.sum() - p[k])
-    return gain * float(p[k]) / (interference + noise)
-
-
 def per_gu_rates(channels, powers, bandwidth: float, noise: float) -> np.ndarray:
     """Per-GU rates B*log2(1+SINR), broadcasting over leading axes.
 

@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from risuav import bcd
 from risuav.bcd import (BcdConfig, baseline_no_ris, baseline_random_phase,
                         initial_solution, optimize)
-from risuav.channel import sample_scattering
+from risuav.channel import GeometryError, sample_scattering
+from risuav.harness import build_instance
 from risuav.objective import penalized_fitness, total_power
 from risuav.optim import AdamConfig, GaConfig
 from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
@@ -122,3 +124,29 @@ def test_bcd_config_validation():
     with pytest.raises(ValueError, match="max_outer_iters"):
         optimize(scn, scatter, initial_solution(scn),
                  cfg=quick_cfg(max_outer_iters=0))
+
+
+def test_singular_placement_stencil_keeps_the_uav_in_place():
+    # From (200, 0.5) the first stencil point is the RIS foot point (200, 0),
+    # where the UAV-RIS azimuth is undefined. The climb is dropped, not the cell.
+    base = dataclasses.replace(default_scenario(), uav_initial_position=(200.0, 0.5))
+    scn, scatter, _ = build_instance(base, 2, 16, 0)
+    res = optimize(scn, scatter, initial_solution(scn), BcdConfig(), seed=0)
+    assert np.all(np.diff(res.eta_trace) >= 0.0)
+    assert res.eta_trace[-1] > res.eta_trace[0]
+    np.testing.assert_array_equal(res.best.uav_pos, [200.0, 0.5])
+    report = res.constraint_report
+    assert report.per_gu_rate.shape == (2,) and np.all(np.isfinite(report.per_gu_rate))
+    assert report.eta == pytest.approx(res.eta_trace[-1], rel=1e-9)
+
+
+@pytest.mark.parametrize("error", [GeometryError, FloatingPointError])
+def test_failed_placement_climb_is_a_rejected_proposal(monkeypatch, error):
+    def failing_adam(*args, **kwargs):
+        raise error("stencil")
+    scn, scatter = small_instance(seed=1)
+    monkeypatch.setattr(bcd, "adam_maximize", failing_adam)
+    res = optimize(scn, scatter, initial_solution(scn), cfg=quick_cfg(), seed=1)
+    np.testing.assert_array_equal(res.best.uav_pos, scn.uav_initial_position)
+    assert np.all(np.diff(res.eta_trace) >= 0.0)
+    assert res.constraint_report.overall_feasible

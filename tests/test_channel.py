@@ -14,11 +14,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from risuav.channel import (GeometryError, ScatteringDraw,
-                            build_channel_set, channel_ris_gu, channel_uav_gu,
-                            channel_uav_ris, distance_3d, effective_channel,
-                            effective_channels, ris_gu_block, sample_scattering,
-                            steering_vector)
+from risuav.channel import (ChannelSet, GeometryError, ScatteringDraw,
+                            build_channel_set, channel_uav_gu, channel_uav_ris,
+                            distance_3d, effective_channels, ris_gu_block,
+                            sample_scattering, steering_vector)
 from risuav.scenario import RngStream, default_scenario, with_gu_positions
 
 D_UG = 74.33034373659252
@@ -28,6 +27,49 @@ H_UR_MAG = 1.7149858514250885e-3
 
 GU = (200.0, 25.0)
 UAV = (200.0, 50.0)
+
+
+def channel_ris_gu(scn, k, scatter):
+    """Reference formula: the Rician RIS to GU k vector, one GU at a time.
+
+    The LOS part is the GU-side steering response; ris_gu_block must agree.
+    """
+    gu = scn.gu_array()[k]
+    ris = np.asarray(scn.ris_position, dtype=float)
+    hnorm = float(np.linalg.norm(gu - ris))
+    if hnorm == 0.0:
+        raise GeometryError(f"GU {k} horizontally coincident with the RIS")
+    d = float(np.hypot(hnorm, scn.ris_altitude))
+    phi = (gu[1] - ris[1]) / hnorm
+    varphi = (gu[0] - ris[0]) / hnorm
+    psi = scn.ris_altitude / d
+    los = steering_vector(scn.ris_rows, scn.ris_cols, scn.row_spacing, scn.col_spacing,
+                          scn.wavelength, phi, varphi, psi)
+    amp = np.sqrt(scn.ref_path_loss / d ** scn.pathloss_exp_rg)
+    kap = scn.rician_rg
+    los_w = np.sqrt(kap / (kap + 1.0))
+    sc_w = np.sqrt(1.0 / (kap + 1.0))
+    return amp * (los_w * los + sc_w * scatter.ris_gu[k])
+
+
+def effective_channel(h_ug, h_rg, h_ur, theta, x):
+    """Reference formula: one GU's effective gain, direct plus phase-shifted reflection.
+
+    C = h_ug + sum_m conj(h_rg[m]) * x[m] * exp(j*theta[m]) * h_ur[m];
+    effective_channels must agree for every GU.
+    """
+    h_rg = np.asarray(h_rg)
+    h_ur = np.asarray(h_ur)
+    theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    m = h_rg.shape[-1] if h_rg.ndim else 0
+    if not (h_ur.shape[-1] == theta.shape[-1] == x.shape[-1] == m):
+        raise ValueError(
+            f"length mismatch: h_rg {h_rg.shape}, h_ur {h_ur.shape}, "
+            f"theta {theta.shape}, x {x.shape}")
+    if m and not np.all((x == 0.0) | (x == 1.0)):
+        raise ValueError("on-off entries must be 0 or 1")
+    return complex(h_ug + np.sum(np.conj(h_rg) * x * np.exp(1j * theta) * h_ur))
 
 
 def one_gu_scenario():
@@ -123,9 +165,10 @@ def test_direct_link_large_rician_factor_limit():
 
 def test_ris_gu_zero_scatter_equal_magnitudes():
     scn = one_gu_scenario()
-    h = channel_ris_gu(scn, 0, zero_scatter(1, 60))
     amp = np.sqrt(scn.ref_path_loss / D_RG ** 2.4) * np.sqrt(2.0 / 3.0)
-    np.testing.assert_allclose(np.abs(h), amp, rtol=1e-12)
+    for h in (channel_ris_gu(scn, 0, zero_scatter(1, 60)),
+              ris_gu_block(scn, zero_scatter(1, 60))[0]):
+        np.testing.assert_allclose(np.abs(h), amp, rtol=1e-12)
 
 
 def test_rician_weights_preserve_power():
@@ -140,16 +183,22 @@ def test_rician_weights_preserve_power():
 def test_effective_channel_all_off_is_direct():
     h_rg = np.array([0.3 + 1j, -0.2j, 0.5 + 0.5j])
     h_ur = np.array([1.0, 0.7j, -0.1 + 0.2j])
-    c = effective_channel(0.4 - 0.1j, h_rg, h_ur, np.array([0.3, 1.0, 2.0]),
-                          np.zeros(3))
+    theta = np.array([0.3, 1.0, 2.0])
+    c = effective_channel(0.4 - 0.1j, h_rg, h_ur, theta, np.zeros(3))
     assert c == pytest.approx(0.4 - 0.1j)
+    cs = ChannelSet(direct=np.array([0.4 - 0.1j]), uav_ris=h_ur, ris_gu=h_rg[None, :])
+    assert effective_channels(cs, theta, np.zeros(3))[0] == pytest.approx(0.4 - 0.1j)
 
 
 def test_effective_channel_single_element_expansion():
     h_ug, h_rg, h_ur, th = 0.2 + 0.1j, 0.5 - 0.3j, -0.4 + 0.8j, 1.3
     c = effective_channel(h_ug, np.array([h_rg]), np.array([h_ur]),
                           np.array([th]), np.array([1.0]))
-    assert c == pytest.approx(h_ug + np.conj(h_rg) * np.exp(1j * th) * h_ur)
+    expect = h_ug + np.conj(h_rg) * np.exp(1j * th) * h_ur
+    assert c == pytest.approx(expect)
+    cs = ChannelSet(direct=np.array([h_ug]), uav_ris=np.array([h_ur]),
+                    ris_gu=np.array([[h_rg]]))
+    assert effective_channels(cs, np.array([th]), np.array([1.0]))[0] == pytest.approx(expect)
 
 
 def test_effective_channel_validates_inputs():

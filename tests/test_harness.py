@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from risuav import harness
 from risuav.channel import build_channel_set, effective_channels, ris_gu_block
 from risuav.harness import (ALL_SCHEMES, RESULT_HEADER, ExperimentResult,
                             ExperimentRow, ExperimentSpec, build_instance,
@@ -330,6 +331,52 @@ def test_run_oracle_bitwise_with_infeasible_rows():
         assert eta == ref_eta
         _assert_same_solution(sol, ref)
         some_off |= not ref.onoff.all()
+    assert some_off
+
+
+@pytest.mark.parametrize("m, k, theta_grid, power_grid", [
+    (3, 2, 3, 5),   # a 27-row cap: two-on patterns take scales in chunks of 3 and 2
+    (4, 2, 2, 7),
+    (2, 2, 4, 1),
+    (3, 2, 1, 4),
+    (3, 1, 3, 5),
+])
+def test_run_oracle_bitwise_with_uneven_scale_chunks(m, k, theta_grid, power_grid):
+    base = default_scenario()
+    for seed in (0, 1):
+        eta, sol = run_oracle(m, k, theta_grid, 3, scn=base, seed=seed,
+                              power_grid=power_grid)
+        ref_eta, ref, _, _ = _oracle_reference(m, k, theta_grid, 3, base, seed,
+                                               power_grid=power_grid)
+        assert eta == ref_eta
+        _assert_same_solution(sol, ref)
+
+
+@pytest.mark.parametrize("m, theta_grid, power_grid", [(3, 3, 5), (4, 2, 16), (0, 3, 4)])
+def test_run_oracle_kernel_calls_stay_within_the_row_cap(monkeypatch, m, theta_grid,
+                                                         power_grid):
+    counts = []
+
+    def counting(c_eff, powers, *args):
+        shape = np.broadcast_shapes(np.shape(c_eff), np.shape(powers))
+        counts.append(int(np.prod(shape[:-1])))
+        return evaluate_efficiency(c_eff, powers, *args)
+
+    monkeypatch.setattr(harness, "evaluate_efficiency", counting)
+    run_oracle(m, 2, theta_grid, 2, power_grid=power_grid)
+    assert max(counts) <= theta_grid ** max(m, 1)
+    # Only distinct phase rows are scored: sum over patterns of theta_grid^n_on,
+    # at every scale and every one of the 4 lattice points.
+    assert sum(counts) == (theta_grid + 1) ** m * power_grid * 4
+
+
+def test_run_oracle_off_elements_keep_phase_zero():
+    costly = scenario_from_dict({"ru_power": 0.5})
+    some_off = False
+    for seed in (1, 2):
+        _, sol = run_oracle(3, 2, 4, 3, scn=costly, seed=seed)
+        assert np.all(sol.phases[sol.onoff == 0.0] == 0.0)
+        some_off |= not sol.onoff.all()
     assert some_off
 
 

@@ -20,11 +20,23 @@ from risuav.channel import (GeometryError, ScatteringDraw, build_channel_set,
 from risuav.objective import (PenaltyConfig, SolutionState, check_constraints,
                               energy_efficiency, hover_power, onoff_fitness,
                               penalized_fitness, per_gu_rates, phase_power_fitness,
-                              placement_objective, power_fitness, sinr, sum_rate,
+                              placement_objective, power_fitness, sum_rate,
                               total_power, validate_solution)
 from risuav.scenario import RngStream, default_scenario, with_gu_positions
 
 HOVER_DEFAULT = 78.19268695868081
+
+
+def sinr(channels, powers, k, noise):
+    """Reference formula: SINR of GU k, |C_k|^2 p_k / (|C_k|^2 * sum_{t != k} p_t + noise).
+
+    per_gu_rates must agree with B*log2(1 + sinr) for every GU.
+    """
+    c = np.asarray(channels)
+    p = np.asarray(powers, dtype=float)
+    gain = float(np.abs(c[k]) ** 2)
+    interference = gain * float(p.sum() - p[k])
+    return gain * float(p[k]) / (interference + noise)
 
 
 def zero_scatter(k, m):
@@ -65,6 +77,7 @@ def test_hover_power_rejects_nonpositive():
 
 def test_sinr_zero_power():
     assert sinr(np.array([0.5 + 0.5j]), np.array([0.0]), 0, 1e-9) == 0.0
+    assert per_gu_rates(np.array([0.5 + 0.5j]), np.array([0.0]), 2.0e7, 1e-9)[0] == 0.0
 
 
 def test_sinr_two_equal_users():
@@ -74,6 +87,8 @@ def test_sinr_two_equal_users():
     expect = 0.25 * 0.6 / (0.25 * 0.6 + noise)
     assert sinr(c, p, 0, noise) == pytest.approx(expect, rel=1e-12)
     assert sinr(c, p, 0, noise) < 1.0
+    np.testing.assert_allclose(per_gu_rates(c, p, 2.0e7, noise),
+                               2.0e7 * np.log2(1.0 + expect), rtol=1e-12)
 
 
 def test_sum_rate_single_user_oracle():
