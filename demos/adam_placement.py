@@ -13,7 +13,7 @@ corner, and prints where the walk settles relative to the users.
 import numpy as np
 
 from risuav.bcd import BcdConfig, initial_solution
-from risuav.objective import PenaltyConfig, placement_objective
+from risuav.objective import placement_objective
 from risuav.optim import AdamConfig, adam_maximize
 from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
                              with_gu_positions)
@@ -24,8 +24,7 @@ scn = with_gu_positions(default_scenario(),
 scatter = sample_scattering(RngStream(2, "scatter"), scn.num_gus, scn.num_elements)
 
 sol = initial_solution(scn, BcdConfig().power_floor)
-field = placement_objective(scn, scatter, sol.onoff, sol.phases, sol.powers,
-                            PenaltyConfig())
+field = placement_objective(scn, scatter, sol.onoff, sol.phases, sol.powers)
 
 centroid = scn.gu_array().mean(axis=0)
 start = np.array([150.0, 90.0])

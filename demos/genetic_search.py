@@ -10,7 +10,7 @@ across generations, so their traces never move backward.
 import numpy as np
 
 from risuav.channel import build_channel_set, sample_scattering
-from risuav.objective import PenaltyConfig, onoff_fitness, phase_power_fitness
+from risuav.objective import onoff_fitness, phase_power_fitness
 from risuav.optim import GaConfig, ga_binary_run, ga_continuous_run
 from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
                              with_gu_positions)
@@ -19,12 +19,11 @@ scn = with_gu_positions(default_scenario(),
                         sample_gu_positions(RngStream(1, "gu-positions"), 4))
 scatter = sample_scattering(RngStream(1, "scatter"), scn.num_gus, scn.num_elements)
 chans = build_channel_set(scn, np.array(scn.uav_initial_position), scatter)
-penalty = PenaltyConfig()
 m, k = scn.num_elements, scn.num_gus
 
 # Continuous search over phases and powers with every element on.
-fitness = phase_power_fitness(scn, chans, np.ones(m), penalty)
-cfg = GaConfig(pop_pairs=25, generations=100, rng_label="demo-ga")
+fitness = phase_power_fitness(scn, chans, np.ones(m))
+cfg = GaConfig(pop_pairs=25, generations=100)
 genome, best, trace = ga_continuous_run(
     fitness, (m, k), cfg, RngStream(1, "demo-ga").generator(),
     p_max=scn.max_power)
@@ -40,9 +39,9 @@ print(f"  power split (W)          {np.round(genome[m:], 4)}"
 
 # Binary search over which elements stay on, phases and powers frozen at the
 # continuous winner. Each pattern pays for its own active elements.
-bit_fitness = onoff_fitness(scn, chans, genome[:m], genome[m:], penalty)
+bit_fitness = onoff_fitness(scn, chans, genome[:m], genome[m:])
 pattern, bit_best, bit_trace = ga_binary_run(
-    bit_fitness, m, GaConfig(pop_pairs=25, generations=60, rng_label="demo-bits"),
+    bit_fitness, m, GaConfig(pop_pairs=25, generations=60),
     RngStream(1, "demo-bits").generator(),
     seed_genomes=np.ones((1, m), dtype=int))
 

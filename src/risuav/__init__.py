@@ -14,10 +14,10 @@ from .scenario import (GU_DISK_CENTER, GU_DISK_RADIUS, RngStream, Scenario,
 from .channel import (ChannelSet, GeometryError, ScatteringDraw, build_channel_set,
                       channel_uav_gu, channel_uav_ris, distance_3d, effective_channels,
                       ris_gu_block, sample_scattering, steering_vector)
-from .objective import (ConstraintReport, PenaltyConfig, SolutionState,
-                        check_constraints, energy_efficiency, evaluate_efficiency,
-                        hover_power, penalized_fitness, per_gu_rates,
-                        scenario_hover_power, sum_rate, total_power)
+from .objective import (ConstraintReport, SolutionState, check_constraints,
+                        energy_efficiency, evaluate_efficiency, hover_power,
+                        penalized_fitness, per_gu_rates, scenario_hover_power,
+                        sum_rate, total_power)
 from .optim import (AdamConfig, GaConfig, adam_maximize, crossover_blend,
                     crossover_single_point, finite_diff_gradient, ga_binary_run,
                     ga_continuous_run, mutate_continuous, repair_power,

@@ -11,7 +11,9 @@ and searches powers and placement only; ``baseline_random_phase`` freezes one
 random phase draw with all elements on.
 
 All entry points take a master seed; every stochastic stage draws from a labeled
-substream of it, so identical (inputs, seed) reproduce results bit-exactly.
+substream of it, so identical (inputs, seed) reproduce results bit-exactly. The
+two GAs of pass i draw from the fixed labels "ga-phase:i" and "ga-onoff:i",
+which no config field can move.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import GeometryError, ScatteringDraw, build_channel_set, ris_gu_block
-from .objective import (ConstraintReport, PenaltyConfig, SolutionState, check_constraints,
-                        onoff_fitness, penalized_fitness, phase_power_fitness,
-                        placement_objective, power_fitness, validate_solution)
+from .objective import (ConstraintReport, SolutionState, check_constraints, onoff_fitness,
+                        penalized_fitness, phase_power_fitness, placement_objective,
+                        power_fitness, validate_solution)
 from .optim import (AdamConfig, GaConfig, adam_maximize, ga_binary_run,
                     ga_continuous_run, repair_power)
 from .scenario import RngStream, Scenario, validate
@@ -34,12 +36,9 @@ from .scenario import RngStream, Scenario, validate
 class BcdConfig:
     delta: float = 1.0e-3            # relative improvement threshold
     max_outer_iters: int = 20
-    ga_phase_cfg: GaConfig = field(
-        default_factory=lambda: GaConfig(generations=100, rng_label="ga-phase"))
-    ga_onoff_cfg: GaConfig = field(
-        default_factory=lambda: GaConfig(generations=60, rng_label="ga-onoff"))
+    ga_phase_cfg: GaConfig = field(default_factory=lambda: GaConfig(generations=100))
+    ga_onoff_cfg: GaConfig = field(default_factory=lambda: GaConfig(generations=60))
     adam_cfg: AdamConfig = field(default_factory=AdamConfig)
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     power_floor: float = 1.0e-6      # p_min for the repair projection
 
 
@@ -53,7 +52,7 @@ class BcdResult:
 
 
 def _check_bcd_config(cfg: BcdConfig) -> None:
-    if cfg.delta <= 0:
+    if not cfg.delta > 0:  # also rejects NaN, which would never stop the loop early
         raise ValueError(f"delta must be > 0, got {cfg.delta}")
     if cfg.max_outer_iters < 1:
         raise ValueError(f"max_outer_iters must be >= 1, got {cfg.max_outer_iters}")
@@ -68,7 +67,9 @@ def initial_solution(scn: Scenario, power_floor: float = 1.0e-6) -> SolutionStat
 
 
 def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdConfig,
-         seed: int, search_phases: bool, search_onoff: bool) -> BcdResult:
+         seed: int, search_ris: bool) -> BcdResult:
+    """The outer loop. search_ris=False freezes the phases and the on-off states,
+    so each pass searches powers and placement only, as the baselines do."""
     t0 = time.perf_counter()
     validate(scn)
     _check_bcd_config(cfg)
@@ -82,7 +83,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
 
     def score(s: SolutionState) -> float:
         chans = build_channel_set(scn, s.uav_pos, scatter, ris_gu=cached_ris_gu)
-        return penalized_fitness(s, scatter, scn, cfg.penalty, chans=chans)
+        return penalized_fitness(s, scatter, scn, chans=chans)
 
     cur = score(sol)
     trace = [cur]
@@ -92,10 +93,10 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
 
         # (a) phases and powers jointly, or powers alone when phases are frozen.
         # The incumbent genome seeds the population so passes refine, not restart.
-        rng = RngStream(seed, f"{cfg.ga_phase_cfg.rng_label}:{it}").generator()
+        rng = RngStream(seed, f"ga-phase:{it}").generator()
         cand = sol.copy()
-        if search_phases:
-            fit = phase_power_fitness(scn, chans, sol.onoff, cfg.penalty)
+        if search_ris:
+            fit = phase_power_fitness(scn, chans, sol.onoff)
             incumbent = np.concatenate([sol.phases, sol.powers])
             genome, _, _ = ga_continuous_run(fit, (m, k), cfg.ga_phase_cfg, rng,
                                              p_max=scn.max_power, p_min=cfg.power_floor,
@@ -103,7 +104,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
             cand.phases = genome[:m].copy()
             cand.powers = genome[m:].copy()
         else:
-            fit = power_fitness(scn, chans, sol.phases, sol.onoff, cfg.penalty)
+            fit = power_fitness(scn, chans, sol.phases, sol.onoff)
             genome, _, _ = ga_continuous_run(fit, (0, k), cfg.ga_phase_cfg, rng,
                                              p_max=scn.max_power, p_min=cfg.power_floor,
                                              seed_genomes=sol.powers)
@@ -113,9 +114,9 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
             sol, cur = cand, val
 
         # (b) on-off pattern
-        if search_onoff:
-            rng = RngStream(seed, f"{cfg.ga_onoff_cfg.rng_label}:{it}").generator()
-            fit = onoff_fitness(scn, chans, sol.phases, sol.powers, cfg.penalty)
+        if search_ris:
+            rng = RngStream(seed, f"ga-onoff:{it}").generator()
+            fit = onoff_fitness(scn, chans, sol.phases, sol.powers)
             pattern, _, _ = ga_binary_run(fit, m, cfg.ga_onoff_cfg, rng,
                                           seed_genomes=sol.onoff.astype(int))
             cand = sol.copy()
@@ -126,8 +127,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
 
         # (c) UAV placement. A stencil point with undefined or non-finite
         # channels ends the climb as a rejected proposal: the UAV stays put.
-        objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
-                                        sol.powers, cfg.penalty)
+        objective = placement_objective(scn, scatter, sol.onoff, sol.phases, sol.powers)
         try:
             w_best, _ = adam_maximize(objective, sol.uav_pos, cfg.adam_cfg, vectorized=True)
         except (GeometryError, FloatingPointError):
@@ -153,7 +153,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
 def optimize(scn: Scenario, scatter: ScatteringDraw, init: SolutionState,
              cfg: BcdConfig = BcdConfig(), seed: int = 0) -> BcdResult:
     """Full pipeline: phases and powers, on-off states, and placement all searched."""
-    return _run(scn, scatter, init, cfg, seed, search_phases=True, search_onoff=True)
+    return _run(scn, scatter, init, cfg, seed, search_ris=True)
 
 
 def baseline_no_ris(scn: Scenario, scatter: ScatteringDraw,
@@ -161,7 +161,7 @@ def baseline_no_ris(scn: Scenario, scatter: ScatteringDraw,
     """Direct links only: every element off, so no reflection and no RIS power draw."""
     init = initial_solution(scn, cfg.power_floor)
     init.onoff = np.zeros(scn.num_elements)
-    return _run(scn, scatter, init, cfg, seed, search_phases=False, search_onoff=False)
+    return _run(scn, scatter, init, cfg, seed, search_ris=False)
 
 
 def baseline_random_phase(scn: Scenario, scatter: ScatteringDraw,
@@ -170,4 +170,4 @@ def baseline_random_phase(scn: Scenario, scatter: ScatteringDraw,
     init = initial_solution(scn, cfg.power_floor)
     rng = RngStream(seed, "random-phase").generator()
     init.phases = rng.uniform(0.0, 2.0 * np.pi, size=scn.num_elements)
-    return _run(scn, scatter, init, cfg, seed, search_phases=False, search_onoff=False)
+    return _run(scn, scatter, init, cfg, seed, search_ris=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import RngStream, Scenario, _as_generator
+from .scenario import RngStream, Scenario
 
 # Tolerance on direction cosines: absorbs roundoff in ratios of distances.
 _COS_TOL = 1.0e-9
@@ -75,9 +75,10 @@ class ScatteringDraw:
     ris_gu: np.ndarray
 
 
-def sample_scattering(rng: RngStream | np.random.Generator, num_gus: int,
-                      num_elements: int) -> ScatteringDraw:
-    gen = _as_generator(rng)
+def sample_scattering(rng: RngStream, num_gus: int, num_elements: int) -> ScatteringDraw:
+    """Draw one ScatteringDraw for num_gus GUs and num_elements elements from the
+    start of rng: the direct parts first, then the (K, M) RIS-GU parts."""
+    gen = rng.generator()
     scale = np.sqrt(0.5)
     direct = scale * (gen.standard_normal(num_gus) + 1j * gen.standard_normal(num_gus))
     ris = scale * (gen.standard_normal((num_gus, num_elements))

@@ -88,9 +88,11 @@ def _given_flags(args: argparse.Namespace) -> dict:
     """ExperimentSpec fields set by the shared flags that were given."""
     fields = dict(output_path=args.out, workers=args.workers, delta=args.delta,
                   max_outer_iters=args.max_outer)
+    fields = {key: val for key, val in fields.items() if val is not None}
     if args.scenario is not None:
+        # The file replaces a scenario embedded in the spec, as a manifest has.
         fields.update(scenario_path=args.scenario, scenario_inline=None)
-    return {key: val for key, val in fields.items() if val is not None}
+    return fields
 
 
 def _reject_outer_loop_flags(args: argparse.Namespace) -> None:
@@ -135,6 +137,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = spec_from_args(args)
+        # A missing or invalid scenario file fails here, before any cell runs.
+        harness.resolve_base_scenario(spec)
     except ValueError as exc:
         parser.error(str(exc))
     result = harness.run_experiment(spec)

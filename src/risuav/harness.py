@@ -50,6 +50,9 @@ ORACLE_POWER_GRID = 16
 ORACLE_MAX_ELEMENTS = 4
 ORACLE_MAX_GUS = 2
 _MAX_ENUMERATION = 10_000_000
+# ExperimentSpec fields that hold one integer >= 1.
+_COUNT_FIELDS = ("fixed_gus", "fixed_elements", "max_outer_iters", "workers",
+               "theta_grid", "placement_grid")
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,11 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
             raise ValueError(f"unknown scheme(s): {', '.join(bad)}")
     if any(v < 1 for v in spec.sweep_values):
         raise ValueError(f"sweep_values must be positive, got {spec.sweep_values}")
-    if spec.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {spec.workers}")
-    if spec.theta_grid < 1 or spec.placement_grid < 1:
-        raise ValueError("theta_grid and placement_grid must be >= 1")
+    for name in _COUNT_FIELDS:
+        if getattr(spec, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
+    if not (np.isfinite(spec.delta) and spec.delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {spec.delta}")
     if spec.kind == "oracle":
         if max(spec.sweep_values) > ORACLE_MAX_ELEMENTS:
             raise ValueError(f"oracle sweep_values (element counts) must be in "
@@ -133,7 +137,6 @@ def near_square_factors(m: int) -> tuple[int, int]:
     for d in range(int(np.sqrt(m)), 0, -1):
         if m % d == 0:
             return d, m // d
-    return 1, m
 
 
 def resolve_base_scenario(spec: ExperimentSpec) -> Scenario:
@@ -218,12 +221,6 @@ def run_cell(spec: ExperimentSpec, scheme: str, value: int, seed: int):
     return row, result.eta_trace, digest
 
 
-def _run_cell_task(args):
-    spec, scheme, value, seed = args
-    row, trace, digest = run_cell(spec, scheme, value, seed)
-    return scheme, value, seed, row, trace, digest
-
-
 def _cells(spec: ExperimentSpec, base: Scenario):
     if spec.kind == "single":
         values = (base.num_gus,)
@@ -244,7 +241,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     validate_spec(spec)
     base = resolve_base_scenario(spec)
     cells = _cells(spec, base)
-    tasks = [(spec, scheme, value, seed) for scheme, value, seed in cells]
 
     rows: list[ExperimentRow] = []
     traces: dict = {}
@@ -256,25 +252,25 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         if err is not None:
             errors[key] = f"{type(err).__name__}: {err}"
             return
-        _, _, _, row, trace, digest = outcome
+        row, trace, digest = outcome
         rows.append(row)
         traces[(scheme, value, seed)] = np.asarray(trace)
         digests[key] = digest
 
-    if spec.workers > 1 and len(tasks) > 1:
+    if spec.workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [pool.submit(_run_cell_task, t) for t in tasks]
-            for (scheme, value, seed), fut in zip(cells, futures):
+            futures = [pool.submit(run_cell, spec, *cell) for cell in cells]
+            for cell, fut in zip(cells, futures):
                 err = fut.exception()
-                record(scheme, value, seed, None if err else fut.result(), err)
+                record(*cell, None if err else fut.result(), err)
     else:
-        for task, (scheme, value, seed) in zip(tasks, cells):
+        for cell in cells:
             try:
-                outcome = _run_cell_task(task)
+                outcome = run_cell(spec, *cell)
             except Exception as exc:
-                record(scheme, value, seed, None, exc)
+                record(*cell, None, exc)
             else:
-                record(scheme, value, seed, outcome, None)
+                record(*cell, outcome, None)
 
     rows.sort(key=lambda r: (r.scheme, r.sweep_value, r.seed))
     manifest = {
@@ -477,9 +473,26 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         raise ValueError(f"unknown experiment field(s): {', '.join(unknown)}")
     kwargs = dict(data)
     for key in ("seeds", "sweep_values", "schemes"):
-        if key in kwargs and kwargs[key] is not None:
+        if key in kwargs:
+            if not isinstance(kwargs[key], list):
+                raise ValueError(f"{key} must be a list, got {kwargs[key]!r}")
             kwargs[key] = tuple(kwargs[key])
+    for key in _COUNT_FIELDS:
+        if key in kwargs and not _is_int(kwargs[key]):
+            raise ValueError(f"{key} must be an integer, got {kwargs[key]!r}")
+    for key in ("seeds", "sweep_values"):
+        if not all(_is_int(v) for v in kwargs.get(key, ())):
+            raise ValueError(f"{key} entries must be integers, got {list(kwargs[key])}")
+    if not all(isinstance(v, str) for v in kwargs.get("schemes", ())):
+        raise ValueError(f"schemes entries must be names, got {list(kwargs['schemes'])}")
+    if "delta" in kwargs and not (_is_int(kwargs["delta"]) or isinstance(kwargs["delta"], float)):
+        raise ValueError(f"delta must be a number, got {kwargs['delta']!r}")
     return validate_spec(ExperimentSpec(**kwargs))
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; bool is an int subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_spec(path) -> ExperimentSpec:

@@ -5,8 +5,9 @@ per-element phases theta, per-GU transmit powers P, and the UAV horizontal posit
 Energy efficiency is sum rate over total consumed power; one batched kernel,
 :func:`evaluate_efficiency`, computes every rate, power and efficiency number.
 The genetic solvers need a strictly positive fitness, so rate-constraint violations
-are folded in as a multiplicative penalty with a small floor rather than rejected
-outright; power constraints never reach the penalty, being repaired in optim.
+are folded in as a multiplicative penalty, eta / (1 + RATE_PENALTY_WEIGHT * deficit)
+floored at FITNESS_FLOOR, rather than rejected outright; power constraints never
+reach the penalty, being repaired in optim.
 
 The ``*_fitness`` builders return closures that score whole populations at once,
 so each GA generation costs one fitness call however large its population.
@@ -21,14 +22,10 @@ import numpy as np
 from .channel import ChannelSet, ScatteringDraw, build_channel_set, effective_channels, ris_gu_block
 from .scenario import Scenario
 
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Multiplicative rate-constraint penalty. weight scales the summed relative
-    deficit; epsilon floors the fitness so selection probabilities stay defined."""
-
-    weight: float = 10.0
-    epsilon: float = 1.0e-12
+# The summed relative rate deficit is scaled by this weight in the penalty divisor.
+RATE_PENALTY_WEIGHT = 10.0
+# Fitness floor, so roulette-wheel selection probabilities stay defined.
+FITNESS_FLOOR = 1.0e-12
 
 
 @dataclass
@@ -151,39 +148,34 @@ def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
                             total_power=float(p_total), eta=float(eta))
 
 
-def _fitness_core(c_eff, powers, onoff_total, scn: Scenario, penalty: PenaltyConfig,
-                  p_hover: float) -> np.ndarray:
+def _fitness_core(c_eff, powers, onoff_total, scn: Scenario, p_hover: float) -> np.ndarray:
     """Penalized fitness from effective channels, broadcast over leading axes."""
     rates, _, eta = evaluate_efficiency(c_eff, powers, onoff_total, scn, p_hover)
     if scn.min_rate > 0:
         deficit = np.clip((scn.min_rate - rates) / scn.min_rate, 0.0, None).sum(axis=-1)
-        eta = np.where(deficit > 0.0, eta / (1.0 + penalty.weight * deficit), eta)
-    return np.maximum(eta, penalty.epsilon)
+        eta = np.where(deficit > 0.0, eta / (1.0 + RATE_PENALTY_WEIGHT * deficit), eta)
+    return np.maximum(eta, FITNESS_FLOOR)
 
 
 def penalized_fitness(solution: SolutionState, scatter: ScatteringDraw, scn: Scenario,
-                      penalty: PenaltyConfig = PenaltyConfig(),
                       chans: ChannelSet | None = None) -> float:
-    """Nonnegative scalar fitness: eta when rate-feasible, penalized eta otherwise.
+    """Positive scalar fitness: eta when rate-feasible, penalized eta otherwise.
 
     Power constraints are assumed repaired upstream and are not penalized here.
     A prebuilt ChannelSet for solution.uav_pos may be passed to skip channel work.
     """
-    if penalty.epsilon <= 0:
-        raise ValueError(f"penalty.epsilon must be > 0, got {penalty.epsilon}")
     if chans is None:
         chans = build_channel_set(scn, solution.uav_pos, scatter)
     c_eff = effective_channels(chans, solution.phases, solution.onoff)
     return float(_fitness_core(c_eff, solution.powers, float(np.sum(solution.onoff)),
-                               scn, penalty, scenario_hover_power(scn)))
+                               scn, scenario_hover_power(scn)))
 
 
 # ---------------------------------------------------------------------------
 # Batched fitness builders for the inner solvers.
 # ---------------------------------------------------------------------------
 
-def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray,
-                        penalty: PenaltyConfig):
+def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray):
     """Fitness over [theta | P] genomes with X and the UAV position fixed.
 
     Returns f mapping an (n, M+K) population to (n,) fitness values.
@@ -197,13 +189,13 @@ def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray,
         g = np.atleast_2d(np.asarray(genomes, dtype=float))
         theta, powers = g[:, :m], g[:, m:]
         c_eff = chans.direct[None, :] + np.exp(1j * theta) @ coeff.T
-        return _fitness_core(c_eff, powers, active, scn, penalty, p_h)
+        return _fitness_core(c_eff, powers, active, scn, p_h)
 
     return fitness
 
 
 def power_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
-                  onoff: np.ndarray, penalty: PenaltyConfig):
+                  onoff: np.ndarray):
     """Fitness over P genomes with theta, X, and the UAV position all fixed."""
     c_eff = effective_channels(chans, theta, onoff)
     active = float(np.sum(onoff))
@@ -211,13 +203,13 @@ def power_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
 
     def fitness(powers: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(np.asarray(powers, dtype=float))
-        return _fitness_core(c_eff[None, :], p, active, scn, penalty, p_h)
+        return _fitness_core(c_eff[None, :], p, active, scn, p_h)
 
     return fitness
 
 
 def onoff_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
-                  powers: np.ndarray, penalty: PenaltyConfig):
+                  powers: np.ndarray):
     """Fitness over X genomes with theta, P, and the UAV position fixed.
 
     The RIS power term varies with the number of active elements, so each
@@ -231,14 +223,13 @@ def onoff_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
     def fitness(patterns: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(patterns, dtype=float))
         c_eff = chans.direct[None, :] + x @ coeff.T
-        return _fitness_core(c_eff, p[None, :], x.sum(axis=1), scn, penalty, p_h)
+        return _fitness_core(c_eff, p[None, :], x.sum(axis=1), scn, p_h)
 
     return fitness
 
 
 def placement_objective(scn: Scenario, scatter: ScatteringDraw, onoff: np.ndarray,
-                        theta: np.ndarray, powers: np.ndarray,
-                        penalty: PenaltyConfig):
+                        theta: np.ndarray, powers: np.ndarray):
     """Objective over the UAV position with (X, theta, P) fixed.
 
     Returns f mapping one position (2,) to a float, or a batch (P, 2) to (P,)
@@ -255,7 +246,7 @@ def placement_objective(scn: Scenario, scatter: ScatteringDraw, onoff: np.ndarra
     def objective(w_u: np.ndarray):
         chans = build_channel_set(scn, w_u, scatter, ris_gu=cached)
         c_eff = chans.direct + (np.conj(chans.ris_gu) * chans.uav_ris[..., None, :]) @ weights
-        values = _fitness_core(c_eff, p, active, scn, penalty, p_h)
+        values = _fitness_core(c_eff, p, active, scn, p_h)
         return float(values) if values.ndim == 0 else values
 
     return objective

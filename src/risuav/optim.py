@@ -33,14 +33,14 @@ class GaConfig:
     probability (binary GA); None resolves to 0.15 rad and min(1/m, 0.5)
     respectively. power_mutation_frac scales the power-entry sigma as a fraction
     of P_max. Elitism is always on: a generation that loses the best genome so
-    far gets it back in place of its worst child.
+    far gets it back in place of its worst child. The random stream is the
+    generator each driver is handed, not part of the config.
     """
 
     pop_pairs: int = 25
     generations: int = 100
     mutation_scale: float | None = None
     power_mutation_frac: float = 0.02
-    rng_label: str = "ga"
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class AdamConfig:
 
     step defaults to 1.0 m, sized for placement coordinates that span tens of
     meters; iters is the iteration budget; fd_step is the central-difference h.
-    ascent=True climbs the objective (the use case here is maximization); set it
-    False for the literal descending update.
+    The update always climbs: every caller maximizes.
     """
 
     step: float = 1.0
@@ -59,7 +58,6 @@ class AdamConfig:
     eps: float = 1.0e-8
     iters: int = 50
     fd_step: float = 0.5
-    ascent: bool = True
 
 
 def _check_ga_config(cfg: GaConfig) -> None:
@@ -336,7 +334,7 @@ def _update_moments(m: np.ndarray, v: np.ndarray, g: np.ndarray,
 
 
 def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
-    """Adam with bias-corrected moments over a scalar field on R^2.
+    """Adam ascent with bias-corrected moments over a scalar field on R^2.
 
     Gradients are central finite differences, as in finite_diff_gradient. Each
     step evaluates the new iterate together with the stencil around it, so the
@@ -344,8 +342,7 @@ def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
     maps one point (n,) to a scalar and is called once per row; with
     vectorized=True, f maps a (P, n) batch of points to (P,) values in one call.
     Returns (best-observed coordinates, trace of f at every iterate including
-    w0). With cfg.ascent the update climbs; otherwise it applies the plain
-    descending form.
+    w0).
     """
     _check_adam_config(cfg)
     batch_f = f if vectorized else (lambda points: np.array([float(f(x)) for x in points]))
@@ -360,7 +357,6 @@ def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
     w = np.asarray(w0, dtype=float).copy()
     m = np.zeros_like(w)
     v = np.zeros_like(w)
-    sign = 1.0 if cfg.ascent else -1.0
 
     values = evaluate(_stencil(w, cfg.fd_step))
     f_cur = float(values[0])
@@ -372,7 +368,7 @@ def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
         m, v = _update_moments(m, v, g, cfg.beta1, cfg.beta2)
         m_hat = m / (1.0 - cfg.beta1 ** i)
         v_hat = v / (1.0 - cfg.beta2 ** i)
-        w = w + sign * cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        w = w + cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
         # The last iterate needs no gradient, so it is scored alone.
         values = evaluate(_stencil(w, cfg.fd_step) if i < cfg.iters else w[None, :])
         f_cur = float(values[0])

@@ -149,27 +149,20 @@ class RngStream:
         return np.random.default_rng(self.seed_sequence())
 
 
-def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
+def sample_gu_positions(rng: RngStream, k: int) -> np.ndarray:
+    """Draw k GU positions uniform by area over the drop disk, from the start of rng.
 
-
-def sample_gu_positions(rng: RngStream | np.random.Generator, k: int,
-                        center: tuple[float, float] = GU_DISK_CENTER,
-                        radius: float = GU_DISK_RADIUS) -> np.ndarray:
-    """Draw k GU positions uniform by area over the drop disk.
-
-    Returns a (k, 2) array. Uniformity by area comes from radius = R*sqrt(u).
+    The disk is GU_DISK_RADIUS around GU_DISK_CENTER. Returns a (k, 2) array.
+    Uniformity by area comes from radius = R*sqrt(u).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    gen = _as_generator(rng)
-    r = radius * np.sqrt(gen.uniform(size=k))
+    gen = rng.generator()
+    r = GU_DISK_RADIUS * np.sqrt(gen.uniform(size=k))
     ang = gen.uniform(0.0, 2.0 * np.pi, size=k)
     out = np.empty((k, 2), dtype=float)
-    out[:, 0] = center[0] + r * np.cos(ang)
-    out[:, 1] = center[1] + r * np.sin(ang)
+    out[:, 0] = GU_DISK_CENTER[0] + r * np.cos(ang)
+    out[:, 1] = GU_DISK_CENTER[1] + r * np.sin(ang)
     return out
 
 

@@ -27,8 +27,8 @@ def small_instance(seed=0, k=2, rows=2, cols=2):
 
 def quick_cfg(**kwargs):
     defaults = dict(
-        ga_phase_cfg=GaConfig(pop_pairs=8, generations=15, rng_label="ga-phase"),
-        ga_onoff_cfg=GaConfig(pop_pairs=8, generations=10, rng_label="ga-onoff"),
+        ga_phase_cfg=GaConfig(pop_pairs=8, generations=15),
+        ga_onoff_cfg=GaConfig(pop_pairs=8, generations=10),
         adam_cfg=AdamConfig(iters=10),
     )
     defaults.update(kwargs)
@@ -84,6 +84,26 @@ def test_optimize_deterministic_same_seed():
     np.testing.assert_array_equal(a.best.onoff, b.best.onoff)
     np.testing.assert_array_equal(a.best.uav_pos, b.best.uav_pos)
     np.testing.assert_array_equal(a.eta_trace, b.eta_trace)
+
+
+def test_restated_default_ga_configs_keep_the_default_streams():
+    # Each GA block draws from its own fixed substream, so a config that only
+    # restates the defaults must reproduce the default run bit for bit.
+    scn, scatter, _ = build_instance(default_scenario(), num_gus=4, num_elements=20, seed=0)
+    default = BcdConfig(max_outer_iters=2)
+    restated = BcdConfig(max_outer_iters=2, ga_phase_cfg=GaConfig(generations=100),
+                         ga_onoff_cfg=GaConfig(generations=60))
+    a = optimize(scn, scatter, initial_solution(scn), cfg=default, seed=0)
+    b = optimize(scn, scatter, initial_solution(scn), cfg=restated, seed=0)
+    assert a.eta_trace.tobytes() == b.eta_trace.tobytes()
+    for name in ("onoff", "phases", "powers", "uav_pos"):
+        assert getattr(a.best, name).tobytes() == getattr(b.best, name).tobytes()
+
+
+def test_nan_delta_is_rejected():
+    scn, scatter = small_instance()
+    with pytest.raises(ValueError, match="delta"):
+        optimize(scn, scatter, initial_solution(scn), cfg=quick_cfg(delta=float("nan")))
 
 
 def test_no_ris_baseline_keeps_elements_off():

@@ -202,3 +202,85 @@ def test_oracle_rejects_bad_fields_before_any_cell(tmp_path, capsys, argv, field
     assert exc.value.code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+def _tiny_spec(**overrides):
+    return {"kind": "single", "scenario_inline": {"num_gus": 1, "ris_rows": 1, "ris_cols": 2},
+            "schemes": ["no-ris"], "seeds": [0], "max_outer_iters": 1, **overrides}
+
+
+_TINY_SWEEP = ["sweep-elements", "--m", "2", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("args, field", [
+    (_TINY_SWEEP + ["--k", "1", "--max-outer", "0"], "max_outer_iters"),
+    (_TINY_SWEEP + ["--k", "1", "--delta", "0"], "delta"),
+    (_TINY_SWEEP + ["--k", "1", "--delta", "nan"], "delta"),
+    (_TINY_SWEEP + ["--k", "0"], "fixed_gus"),
+    (_tiny_spec(kind="sweep-gus", sweep_values=[1], fixed_elements=0), "fixed_elements"),
+    (_tiny_spec(workers="2"), "workers"),
+    (_tiny_spec(max_outer_iters=True), "max_outer_iters"),
+    (_tiny_spec(seeds=[0.5]), "seeds"),
+    (_tiny_spec(seeds=0), "seeds"),
+    (_tiny_spec(schemes="proposed"), "schemes"),
+    (_tiny_spec(schemes=["no-ris", 1]), "schemes"),
+    (_tiny_spec(kind="sweep-gus", sweep_values=[2.5]), "sweep_values"),
+    (_tiny_spec(delta="0.5"), "delta"),
+])
+def test_bad_spec_values_fail_before_any_cell(tmp_path, capsys, args, field):
+    # args is a command line, or a spec document that ``run --spec`` reads.
+    argv = args
+    if isinstance(args, dict):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(args), encoding="utf-8")
+        argv = ["run", "--spec", str(spec_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "never")])
+    assert exc.value.code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def _scenario_file(tmp_path, name, fields):
+    path = tmp_path / name
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    return path
+
+
+def test_sweep_scenario_flag_reaches_the_manifest(tmp_path):
+    scenario = _scenario_file(tmp_path, "scn.json", {"max_power": 2.0})
+    out = tmp_path / "out"
+    code = main(_TINY_SWEEP + ["--k", "1", "--max-outer", "1", "--scenario", str(scenario),
+                               "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["spec"]["scenario_path"] == str(scenario)
+    assert manifest["scenario"]["max_power"] == 2.0
+
+
+def test_run_scenario_flag_replaces_the_embedded_scenario(tmp_path):
+    first = tmp_path / "first"
+    assert main(["run", "--spec", str(_tiny_spec_file(tmp_path)), "--out", str(first)]) == 0
+    scenario = _scenario_file(tmp_path, "scn.json", {"num_gus": 1, "ris_rows": 1,
+                                                     "ris_cols": 2, "max_power": 3.0})
+    second = tmp_path / "second"
+    code = main(["run", "--spec", str(first / "manifest.json"), "--scenario", str(scenario),
+                 "--out", str(second)])
+    assert code == 0
+    manifest = json.loads((second / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["spec"]["scenario_inline"] is None
+    assert manifest["scenario"]["max_power"] == 3.0
+
+
+@pytest.mark.parametrize("fields, message", [({"max_power": -1}, "max_power"),
+                                             (None, "not found")])
+def test_bad_scenario_file_fails_before_any_cell(tmp_path, capsys, fields, message):
+    scenario = tmp_path / "missing.json"
+    if fields is not None:
+        scenario = _scenario_file(tmp_path, "scn.json", fields)
+    with pytest.raises(SystemExit) as exc:
+        main(_TINY_SWEEP + ["--k", "1", "--scenario", str(scenario),
+                            "--out", str(tmp_path / "never")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()

@@ -17,7 +17,7 @@ import pytest
 
 from risuav.channel import (GeometryError, ScatteringDraw, build_channel_set,
                             effective_channels, sample_scattering)
-from risuav.objective import (PenaltyConfig, SolutionState, check_constraints,
+from risuav.objective import (FITNESS_FLOOR, SolutionState, check_constraints,
                               energy_efficiency, hover_power, onoff_fitness,
                               penalized_fitness, per_gu_rates, phase_power_fitness,
                               placement_objective, power_fitness, sum_rate,
@@ -255,7 +255,7 @@ def test_penalized_fitness_floor():
     scatter = zero_scatter(1, 60)
     sol = SolutionState(onoff=np.zeros(60), phases=np.zeros(60),
                         powers=np.array([1e-6]), uav_pos=np.array([200.0, 50.0]))
-    assert penalized_fitness(sol, scatter, scn) == PenaltyConfig().epsilon
+    assert penalized_fitness(sol, scatter, scn) == FITNESS_FLOOR
 
 
 def test_validate_solution_shape_errors():
@@ -284,7 +284,7 @@ def test_phase_power_fitness_matches_scalar_path():
     scn, scatter = full_instance()
     sol = solved_state(scn)
     chans = build_channel_set(scn, sol.uav_pos, scatter)
-    fit = phase_power_fitness(scn, chans, sol.onoff, PenaltyConfig())
+    fit = phase_power_fitness(scn, chans, sol.onoff)
     rng = np.random.default_rng(7)
     pop = np.hstack([rng.uniform(0, 2 * np.pi, (5, 60)),
                      rng.uniform(0.01, 0.2, (5, 4))])
@@ -300,7 +300,7 @@ def test_power_fitness_matches_scalar_path():
     scn, scatter = full_instance()
     sol = solved_state(scn)
     chans = build_channel_set(scn, sol.uav_pos, scatter)
-    fit = power_fitness(scn, chans, sol.phases, sol.onoff, PenaltyConfig())
+    fit = power_fitness(scn, chans, sol.phases, sol.onoff)
     rng = np.random.default_rng(8)
     pop = rng.uniform(0.01, 0.2, (5, 4))
     batched = fit(pop)
@@ -315,7 +315,7 @@ def test_onoff_fitness_matches_scalar_path():
     scn, scatter = full_instance()
     sol = solved_state(scn)
     chans = build_channel_set(scn, sol.uav_pos, scatter)
-    fit = onoff_fitness(scn, chans, sol.phases, sol.powers, PenaltyConfig())
+    fit = onoff_fitness(scn, chans, sol.phases, sol.powers)
     rng = np.random.default_rng(9)
     pop = rng.integers(0, 2, (5, 60))
     batched = fit(pop)
@@ -330,7 +330,7 @@ def test_placement_objective_matches_scalar_path():
     scn, scatter = full_instance()
     sol = solved_state(scn)
     objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
-                                    sol.powers, PenaltyConfig())
+                                    sol.powers)
     for w in ([200.0, 50.0], [185.0, 40.0], [210.0, 10.0]):
         cand = sol.copy()
         cand.uav_pos = np.asarray(w)
@@ -344,7 +344,7 @@ def test_placement_objective_batch_matches_per_point_loop(rows, cols):
     scatter = sample_scattering(RngStream(1, "scatter"), 4, rows * cols)
     sol = solved_state(scn, rng_seed=2)
     objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
-                                    sol.powers, PenaltyConfig())
+                                    sol.powers)
     rng = np.random.default_rng(5)
     w = np.column_stack([rng.uniform(150.0, 250.0, 30), rng.uniform(-40.0, 90.0, 30)])
     batch = objective(w)
@@ -359,7 +359,7 @@ def test_placement_objective_batch_over_the_ris_raises():
     scn, scatter = full_instance()
     sol = solved_state(scn)
     objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
-                                    sol.powers, PenaltyConfig())
+                                    sol.powers)
     w = np.array([[200.0, 50.0], list(scn.ris_position), [210.0, 10.0]])
     with pytest.raises(GeometryError):
         objective(w)
