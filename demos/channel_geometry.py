@@ -38,8 +38,7 @@ print(f"  per-element |h_rg[0]|   {abs(chans.ris_gu[0, 0]):.4e}")
 # terms. Aligning element m to cancel arg(conj(h_rg[m]) h_ur[m]) relative to
 # the direct link makes every term add in phase.
 all_on = np.ones(scn.num_elements)
-cascade = np.conj(chans.ris_gu[0]) * chans.uav_ris
-aligned = np.angle(chans.direct[0]) - np.angle(cascade)
+aligned = np.angle(chans.direct[0]) - np.angle(chans.cascade[0])
 
 c_off = effective_channels(chans, np.zeros(scn.num_elements), np.zeros(scn.num_elements))[0]
 c_zero = effective_channels(chans, np.zeros(scn.num_elements), all_on)[0]

@@ -100,6 +100,11 @@ class ChannelSet:
     uav_ris: np.ndarray
     ris_gu: np.ndarray
 
+    @property
+    def cascade(self) -> np.ndarray:
+        """(..., K, M) reflected paths UAV -> element m -> GU k, before x and theta."""
+        return np.conj(self.ris_gu) * self.uav_ris[..., None, :]
+
 
 def channel_uav_gu(scn: Scenario, w_u, k: int, scatter: ScatteringDraw) -> complex:
     """Rician direct link to GU k. The LOS term is the constant 1, no phase ramp."""
@@ -193,7 +198,6 @@ def ris_gu_block(scn: Scenario, scatter: ScatteringDraw) -> np.ndarray:
 
 
 def effective_channels(chans: ChannelSet, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(K,) effective gains for every GU from a prebuilt ChannelSet."""
-    reflect = (np.conj(chans.ris_gu) * chans.uav_ris[None, :]) @ (
-        np.asarray(x, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float)))
-    return chans.direct + reflect
+    """(..., K) effective gains for every GU and every UAV position of chans."""
+    weights = np.asarray(x, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
+    return chans.direct + chans.cascade @ weights

@@ -137,11 +137,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = spec_from_args(args)
-        # A missing or invalid scenario file fails here, before any cell runs.
-        harness.resolve_base_scenario(spec)
+        # A bad spec or scenario file raises before any cell runs; a failing
+        # cell is recorded in the manifest, not raised.
+        result = harness.run_experiment(spec)
     except ValueError as exc:
         parser.error(str(exc))
-    result = harness.run_experiment(spec)
     csv_path = harness.write_outputs(result, spec.output_path)
 
     print(f"wrote {csv_path} ({len(result.rows)} rows)")

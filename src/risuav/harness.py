@@ -27,8 +27,7 @@ from ._version import __version__
 from .bcd import (BcdConfig, BcdResult, baseline_no_ris, baseline_random_phase,
                   initial_solution, optimize)
 from .channel import build_channel_set, ris_gu_block, sample_scattering
-from .objective import (SolutionState, check_constraints, evaluate_efficiency,
-                        scenario_hover_power)
+from .objective import SolutionState, check_constraints, evaluate_efficiency
 from .scenario import (RngStream, Scenario, default_scenario, load_scenario,
                        sample_gu_positions, scenario_from_dict, scenario_to_dict,
                        with_gu_positions)
@@ -194,9 +193,8 @@ def _cell_dims(spec: ExperimentSpec, base: Scenario, value: int) -> tuple[int, i
     return spec.fixed_gus, value  # sweep-elements and oracle: value is the element count
 
 
-def run_cell(spec: ExperimentSpec, scheme: str, value: int, seed: int):
-    """Run one cell; returns (ExperimentRow, trace, digest)."""
-    base = resolve_base_scenario(spec)
+def run_cell(spec: ExperimentSpec, base: Scenario, scheme: str, value: int, seed: int):
+    """Run one cell on the resolved base scenario; returns (ExperimentRow, trace, digest)."""
     k, m = _cell_dims(spec, base, value)
 
     if spec.kind == "oracle":
@@ -234,9 +232,11 @@ def _cells(spec: ExperimentSpec, base: Scenario):
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every cell of the experiment spec; failed cells are logged and skipped.
 
-    Rows come back sorted by (scheme, sweep_value, seed). The manifest contains
-    everything needed to reproduce the physics columns bit-exactly (wall times
-    are measurements and vary).
+    The scenario is resolved once, so a bad spec or scenario raises ValueError
+    before any cell runs, and every cell runs on the scenario the manifest
+    records. Rows come back sorted by (scheme, sweep_value, seed). The manifest
+    contains everything needed to reproduce the physics columns bit-exactly
+    (wall times are measurements and vary).
     """
     validate_spec(spec)
     base = resolve_base_scenario(spec)
@@ -259,14 +259,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     if spec.workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [pool.submit(run_cell, spec, *cell) for cell in cells]
+            futures = [pool.submit(run_cell, spec, base, *cell) for cell in cells]
             for cell, fut in zip(cells, futures):
                 err = fut.exception()
                 record(*cell, None if err else fut.result(), err)
     else:
         for cell in cells:
             try:
-                outcome = run_cell(spec, *cell)
+                outcome = run_cell(spec, base, *cell)
             except Exception as exc:
                 record(*cell, None, exc)
             else:
@@ -369,21 +369,19 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     if len(lattice) == 0:
         raise RuntimeError("every point of the oracle's placement lattice is above the RIS")
 
-    p_h = scenario_hover_power(inst)
     chans = build_channel_set(inst, lattice, scatter, ris_gu=ris_gu_block(inst, scatter))
-    v_all = np.conj(chans.ris_gu) * chans.uav_ris[:, None, :]  # (P, k, m_eff)
 
     best_eta = -np.inf
     best = None
     max_rows = theta_grid ** m_eff
-    for w, direct, v in zip(lattice, chans.direct, v_all):
+    for w, direct, v in zip(lattice, chans.direct, chans.cascade):
         for pat, rows, block in blocks:
             c_eff = (direct[:, None] + v @ block.T).T  # (T, k) view
             n_on = pat.sum()
             step = max(1, max_rows // len(rows))
             for s0 in range(0, len(powers), step):
                 rates, _, eta = evaluate_efficiency(c_eff, powers[s0:s0 + step, None, :],
-                                                    n_on, inst, p_h)
+                                                    n_on, inst)
                 eta = np.where(np.all(rates >= inst.min_rate, axis=-1), eta, -np.inf)
                 s, j = np.unravel_index(np.argmax(eta), eta.shape)
                 if eta[s, j] > best_eta:
@@ -485,6 +483,11 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             raise ValueError(f"{key} entries must be integers, got {list(kwargs[key])}")
     if not all(isinstance(v, str) for v in kwargs.get("schemes", ())):
         raise ValueError(f"schemes entries must be names, got {list(kwargs['schemes'])}")
+    for key, types, expected in (("output_path", str, "a string"),
+                                 ("scenario_path", (str, type(None)), "a string or null"),
+                                 ("scenario_inline", (dict, type(None)), "an object or null")):
+        if key in kwargs and not isinstance(kwargs[key], types):
+            raise ValueError(f"{key} must be {expected}, got {kwargs[key]!r}")
     if "delta" in kwargs and not (_is_int(kwargs["delta"]) or isinstance(kwargs["delta"], float)):
         raise ValueError(f"delta must be a number, got {kwargs['delta']!r}")
     return validate_spec(ExperimentSpec(**kwargs))

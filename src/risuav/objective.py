@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, ScatteringDraw, build_channel_set, effective_channels, ris_gu_block
-from .scenario import Scenario
+from .scenario import Scenario, hover_power  # noqa: F401  (hover_power is re-exported)
 
 # The summed relative rate deficit is scaled by this weight in the penalty divisor.
 RATE_PENALTY_WEIGHT = 10.0
@@ -69,19 +69,6 @@ def validate_solution(solution: SolutionState, scn: Scenario) -> SolutionState:
     return solution
 
 
-def hover_power(mass_kg: float, gravity: float, prop_radius_m: float,
-                num_props: float, air_density: float) -> float:
-    """Hovering power sqrt((m*g)^3 / (2*pi*r_p^2*n_p*rho)) in watts."""
-    args = {"mass_kg": mass_kg, "gravity": gravity, "prop_radius_m": prop_radius_m,
-            "num_props": num_props, "air_density": air_density}
-    for name, val in args.items():
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-    thrust = mass_kg * gravity
-    return float(np.sqrt(thrust ** 3 / (2.0 * np.pi * prop_radius_m ** 2
-                                        * num_props * air_density)))
-
-
 def per_gu_rates(channels, powers, bandwidth: float, noise: float) -> np.ndarray:
     """Per-GU rates B*log2(1+SINR), broadcasting over leading axes.
 
@@ -99,21 +86,15 @@ def sum_rate(channels, powers, bandwidth: float, noise: float) -> float:
     return float(per_gu_rates(channels, powers, bandwidth, noise).sum(axis=-1))
 
 
-def scenario_hover_power(scn: Scenario) -> float:
-    """Hovering power of the scenario's UAV, watts."""
-    return hover_power(scn.drone_mass, scn.gravity, scn.prop_radius,
-                       scn.num_props, scn.air_density)
-
-
-def evaluate_efficiency(c_eff, powers, n_active, scn: Scenario, p_hover: float):
+def evaluate_efficiency(c_eff, powers, n_active, scn: Scenario):
     """(per-GU rates, total power, eta) from (..., K) channels and powers.
 
-    Total power is hover + transmit + GU circuit + per-active-element RIS power;
-    p_hover is :func:`scenario_hover_power` of scn, computed once by the caller.
+    Total power is hover (``scn.hover_power``) + transmit + GU circuit +
+    per-active-element RIS power.
     """
     rates = per_gu_rates(c_eff, powers, scn.bandwidth, scn.noise_power)
     k = rates.shape[-1]
-    p_total = (p_hover + np.asarray(powers, dtype=float).sum(axis=-1)
+    p_total = (scn.hover_power + np.asarray(powers, dtype=float).sum(axis=-1)
                + k * scn.gu_circuit_power + scn.ru_power * np.asarray(n_active))
     return rates, p_total, rates.sum(axis=-1) / p_total
 
@@ -121,7 +102,7 @@ def evaluate_efficiency(c_eff, powers, n_active, scn: Scenario, p_hover: float):
 def total_power(solution: SolutionState, scn: Scenario) -> float:
     """Total power in watts; channels do not enter it, so zeros stand in for them."""
     _, p_total, _ = evaluate_efficiency(np.zeros(len(solution.powers)), solution.powers,
-                                        np.sum(solution.onoff), scn, scenario_hover_power(scn))
+                                        np.sum(solution.onoff), scn)
     return float(p_total)
 
 
@@ -135,8 +116,7 @@ def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
                       scn: Scenario) -> ConstraintReport:
     chans = build_channel_set(scn, solution.uav_pos, scatter)
     c_eff = effective_channels(chans, solution.phases, solution.onoff)
-    rates, p_total, eta = evaluate_efficiency(
-        c_eff, solution.powers, np.sum(solution.onoff), scn, scenario_hover_power(scn))
+    rates, p_total, eta = evaluate_efficiency(c_eff, solution.powers, np.sum(solution.onoff), scn)
     rate_ok = rates >= scn.min_rate
     psum = float(np.sum(solution.powers))
     # <= is inclusive; the tiny relative slack absorbs repair-scaling roundoff.
@@ -148,9 +128,9 @@ def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
                             total_power=float(p_total), eta=float(eta))
 
 
-def _fitness_core(c_eff, powers, onoff_total, scn: Scenario, p_hover: float) -> np.ndarray:
+def _fitness_core(c_eff, powers, onoff_total, scn: Scenario) -> np.ndarray:
     """Penalized fitness from effective channels, broadcast over leading axes."""
-    rates, _, eta = evaluate_efficiency(c_eff, powers, onoff_total, scn, p_hover)
+    rates, _, eta = evaluate_efficiency(c_eff, powers, onoff_total, scn)
     if scn.min_rate > 0:
         deficit = np.clip((scn.min_rate - rates) / scn.min_rate, 0.0, None).sum(axis=-1)
         eta = np.where(deficit > 0.0, eta / (1.0 + RATE_PENALTY_WEIGHT * deficit), eta)
@@ -167,8 +147,7 @@ def penalized_fitness(solution: SolutionState, scatter: ScatteringDraw, scn: Sce
     if chans is None:
         chans = build_channel_set(scn, solution.uav_pos, scatter)
     c_eff = effective_channels(chans, solution.phases, solution.onoff)
-    return float(_fitness_core(c_eff, solution.powers, float(np.sum(solution.onoff)),
-                               scn, scenario_hover_power(scn)))
+    return float(_fitness_core(c_eff, solution.powers, float(np.sum(solution.onoff)), scn))
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +160,14 @@ def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray):
     Returns f mapping an (n, M+K) population to (n,) fitness values.
     """
     m = scn.num_elements
-    coeff = np.conj(chans.ris_gu) * chans.uav_ris[None, :] * np.asarray(onoff)[None, :]
+    coeff = chans.cascade * np.asarray(onoff)[None, :]
     active = float(np.sum(onoff))
-    p_h = scenario_hover_power(scn)
 
     def fitness(genomes: np.ndarray) -> np.ndarray:
         g = np.atleast_2d(np.asarray(genomes, dtype=float))
         theta, powers = g[:, :m], g[:, m:]
         c_eff = chans.direct[None, :] + np.exp(1j * theta) @ coeff.T
-        return _fitness_core(c_eff, powers, active, scn, p_h)
+        return _fitness_core(c_eff, powers, active, scn)
 
     return fitness
 
@@ -199,11 +177,10 @@ def power_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
     """Fitness over P genomes with theta, X, and the UAV position all fixed."""
     c_eff = effective_channels(chans, theta, onoff)
     active = float(np.sum(onoff))
-    p_h = scenario_hover_power(scn)
 
     def fitness(powers: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(np.asarray(powers, dtype=float))
-        return _fitness_core(c_eff[None, :], p, active, scn, p_h)
+        return _fitness_core(c_eff[None, :], p, active, scn)
 
     return fitness
 
@@ -215,15 +192,13 @@ def onoff_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
     The RIS power term varies with the number of active elements, so each
     candidate pattern sees its own total power.
     """
-    coeff = np.conj(chans.ris_gu) * chans.uav_ris[None, :] * np.exp(
-        1j * np.asarray(theta, dtype=float))[None, :]
+    coeff = chans.cascade * np.exp(1j * np.asarray(theta, dtype=float))[None, :]
     p = np.asarray(powers, dtype=float)
-    p_h = scenario_hover_power(scn)
 
     def fitness(patterns: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(patterns, dtype=float))
         c_eff = chans.direct[None, :] + x @ coeff.T
-        return _fitness_core(c_eff, p[None, :], x.sum(axis=1), scn, p_h)
+        return _fitness_core(c_eff, p[None, :], x.sum(axis=1), scn)
 
     return fitness
 
@@ -238,15 +213,13 @@ def placement_objective(scn: Scenario, scatter: ScatteringDraw, onoff: np.ndarra
     and UAV-RIS links, once for the whole batch.
     """
     cached = ris_gu_block(scn, scatter)
-    weights = np.asarray(onoff, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
     p = np.asarray(powers, dtype=float)
     active = float(np.sum(onoff))
-    p_h = scenario_hover_power(scn)
 
     def objective(w_u: np.ndarray):
         chans = build_channel_set(scn, w_u, scatter, ris_gu=cached)
-        c_eff = chans.direct + (np.conj(chans.ris_gu) * chans.uav_ris[..., None, :]) @ weights
-        values = _fitness_core(c_eff, p, active, scn, p_h)
+        c_eff = effective_channels(chans, theta, onoff)
+        values = _fitness_core(c_eff, p, active, scn)
         return float(values) if values.ndim == 0 else values
 
     return objective

@@ -9,8 +9,10 @@ single master seed so that every stochastic stage of a run can be replayed exact
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,6 +25,19 @@ GU_DISK_RADIUS = 20.0
 
 class ScenarioError(ValueError):
     """Invalid scenario field or malformed scenario file."""
+
+
+def hover_power(mass_kg: float, gravity: float, prop_radius_m: float,
+                num_props: float, air_density: float) -> float:
+    """Hovering power sqrt((m*g)^3 / (2*pi*r_p^2*n_p*rho)) in watts."""
+    args = {"mass_kg": mass_kg, "gravity": gravity, "prop_radius_m": prop_radius_m,
+            "num_props": num_props, "air_density": air_density}
+    for name, val in args.items():
+        if not val > 0:
+            raise ValueError(f"{name} must be positive, got {val}")
+    thrust = mass_kg * gravity
+    return float(np.sqrt(thrust ** 3 / (2.0 * np.pi * prop_radius_m ** 2
+                                        * num_props * air_density)))
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,12 @@ class Scenario:
     @property
     def num_elements(self) -> int:
         return self.ris_rows * self.ris_cols
+
+    @functools.cached_property
+    def hover_power(self) -> float:
+        """Hovering power of the UAV in watts; not a field, so not serialized."""
+        return hover_power(self.drone_mass, self.gravity, self.prop_radius,
+                           self.num_props, self.air_density)
 
     def gu_array(self) -> np.ndarray:
         """GU positions as a (K, 2) float array; raises if unpopulated."""
@@ -185,10 +206,26 @@ def scenario_to_dict(scn: Scenario) -> dict:
 _INT_FIELDS = {"num_gus", "ris_rows", "ris_cols", "num_props"}
 
 
+def _number(name: str, value) -> float:
+    """value as a float; bools, strings, null and other non-numbers raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _pair(name: str, value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(f"{name} must be an (x, y) pair of numbers, got {value!r}")
+    return (_number(name, value[0]), _number(name, value[1]))
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from a dict of overrides; absent fields take defaults.
 
     Unknown keys are an error so that typos do not silently fall back to defaults.
+    Values are not coerced: a count must be an integral number, a position a
+    list of two numbers and any other field a number; a bool is not a number.
+    Integers are accepted where floats are expected and stored as floats.
     """
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario document must be an object, got {type(data).__name__}")
@@ -200,13 +237,18 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key, value in data.items():
         if key == "gu_positions":
             if value is not None:
-                value = tuple((float(x), float(y)) for x, y in value)
+                if not isinstance(value, (list, tuple)):
+                    raise ScenarioError(f"gu_positions must be a list of (x, y) pairs, "
+                                        f"got {value!r}")
+                value = tuple(_pair(f"gu_positions[{i}]", p) for i, p in enumerate(value))
         elif key in ("ris_position", "uav_initial_position"):
-            value = (float(value[0]), float(value[1]))
+            value = _pair(key, value)
         elif key in _INT_FIELDS:
+            if not _number(key, value).is_integer():
+                raise ScenarioError(f"{key} must be an integer, got {value!r}")
             value = int(value)
         else:
-            value = float(value)
+            value = _number(key, value)
         kwargs[key] = value
     return validate(Scenario(**kwargs))
 

@@ -309,10 +309,21 @@ def test_build_channel_set_batch_matches_per_point_loop(rows, cols):
     assert batch.direct.shape == (len(w), scn.num_gus)
     assert batch.uav_ris.shape == (len(w), rows * cols)
     assert batch.ris_gu is cached
+    assert np.array_equal(batch.cascade, np.conj(cached) * batch.uav_ris[..., None, :])
+    rng = np.random.default_rng(rows)
+    theta = rng.uniform(0.0, 2.0 * np.pi, rows * cols)
+    x = rng.integers(0, 2, rows * cols).astype(float)
+    c_batch = effective_channels(batch, theta, x)
+    assert c_batch.shape == (len(w), scn.num_gus)
+    # A batch of exactly K positions must not pair GU k with position k.
+    c_square = effective_channels(build_channel_set(scn, w[:scn.num_gus], scatter), theta, x)
+    assert np.array_equal(c_square, c_batch[:scn.num_gus])
     for i, point in enumerate(w):
         one = build_channel_set(scn, point, scatter, ris_gu=cached)
         assert np.array_equal(batch.direct[i], one.direct)
         assert np.array_equal(batch.uav_ris[i], one.uav_ris)
+        assert np.array_equal(one.cascade, np.conj(cached) * one.uav_ris[None, :])
+        assert np.array_equal(c_batch[i], effective_channels(one, theta, x))
 
 
 def test_steering_vector_broadcasts_over_directions():

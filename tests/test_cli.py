@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from risuav import harness
 from risuav.cli import _int_list, build_parser, main, spec_from_args
+from risuav.scenario import load_scenario
 
 
 def parse(argv):
@@ -226,6 +228,9 @@ _TINY_SWEEP = ["sweep-elements", "--m", "2", "--seeds", "1"]
     (_tiny_spec(schemes=["no-ris", 1]), "schemes"),
     (_tiny_spec(kind="sweep-gus", sweep_values=[2.5]), "sweep_values"),
     (_tiny_spec(delta="0.5"), "delta"),
+    (_tiny_spec(output_path=5), "output_path"),
+    (_tiny_spec(scenario_inline=None, scenario_path=0), "scenario_path"),
+    (_tiny_spec(scenario_inline=[1, 2]), "scenario_inline"),
 ])
 def test_bad_spec_values_fail_before_any_cell(tmp_path, capsys, args, field):
     # args is a command line, or a spec document that ``run --spec`` reads.
@@ -272,8 +277,16 @@ def test_run_scenario_flag_replaces_the_embedded_scenario(tmp_path):
     assert manifest["scenario"]["max_power"] == 3.0
 
 
-@pytest.mark.parametrize("fields, message", [({"max_power": -1}, "max_power"),
-                                             (None, "not found")])
+@pytest.mark.parametrize("fields, message", [
+    ({"max_power": -1}, "max_power"),
+    (None, "not found"),
+    ({"num_gus": 2.7}, "num_gus"),
+    ({"num_gus": True}, "num_gus"),
+    ({"max_power": "2"}, "max_power"),
+    ({"ris_position": [200, 0, 5]}, "ris_position"),
+    ({"bandwidth": None}, "bandwidth"),
+    ({"gu_positions": 5}, "gu_positions"),
+])
 def test_bad_scenario_file_fails_before_any_cell(tmp_path, capsys, fields, message):
     scenario = tmp_path / "missing.json"
     if fields is not None:
@@ -284,3 +297,25 @@ def test_bad_scenario_file_fails_before_any_cell(tmp_path, capsys, fields, messa
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+def test_scenario_file_is_read_once_per_experiment(tmp_path, monkeypatch):
+    # Every cell runs on the one scenario the manifest records, even if the
+    # file changes mid-sweep.
+    scenario = _scenario_file(tmp_path, "scn.json", {"max_power": 2.0})
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return load_scenario(path)
+
+    monkeypatch.setattr(harness, "load_scenario", counting)
+    spec = harness.ExperimentSpec(kind="sweep-elements", scenario_path=str(scenario),
+                                  seeds=(0, 1), sweep_values=(2,), fixed_gus=1,
+                                  max_outer_iters=1)
+    assert len(harness.run_experiment(spec).rows) == 6
+    assert len(reads) == 1
+    reads.clear()
+    assert main(["sweep-elements", "--m", "2", "--k", "1", "--seeds", "2", "--max-outer", "1",
+                 "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    assert len(reads) == 1

@@ -14,7 +14,7 @@ from risuav.harness import (ALL_SCHEMES, RESULT_HEADER, ExperimentResult,
                             spec_from_dict, spec_to_dict, validate_spec,
                             write_outputs)
 from risuav.objective import (SolutionState, check_constraints, evaluate_efficiency,
-                              per_gu_rates, scenario_hover_power, total_power)
+                              per_gu_rates, total_power)
 from risuav.scenario import default_scenario, scenario_from_dict
 
 TINY = {"num_gus": 1, "ris_rows": 1, "ris_cols": 2}
@@ -266,7 +266,6 @@ def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed, power_grid=16
     phase_factors = np.exp(1j * thetas)
     scales = np.array([1.0]) if k == 1 else np.linspace(1.0 / power_grid, 1.0, power_grid)
     p_split = np.full(k, inst.max_power / k)
-    p_h = scenario_hover_power(inst)
     cached = ris_gu_block(inst, scatter)
     best_eta, best, n_ok, n_bad = -np.inf, None, 0, 0
     for wx in np.linspace(175.0, 225.0, placement_grid):
@@ -280,7 +279,7 @@ def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed, power_grid=16
                 c_eff = chans.direct[None, :] + (phase_factors * pat[None, :]) @ v.T
                 for c in scales:
                     p = c * p_split
-                    rates, _, eta = evaluate_efficiency(c_eff, p[None, :], pat.sum(), inst, p_h)
+                    rates, _, eta = evaluate_efficiency(c_eff, p[None, :], pat.sum(), inst)
                     ok = np.all(rates >= inst.min_rate, axis=1)
                     n_ok += int(ok.sum())
                     n_bad += int((~ok).sum())

@@ -1,13 +1,15 @@
 """Scenario construction, validation, seeded sampling, and file round-trips."""
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from risuav.scenario import (GU_DISK_CENTER, GU_DISK_RADIUS, RngStream, Scenario,
-                             ScenarioError, default_scenario, load_scenario,
+                             ScenarioError, default_scenario, hover_power, load_scenario,
                              sample_gu_positions, save_scenario, scenario_from_dict,
                              scenario_to_dict, validate, with_gu_positions)
 
@@ -111,6 +113,39 @@ def test_scenario_from_dict_partial_override():
     scn = scenario_from_dict({"num_gus": 6})
     assert scn.num_gus == 6
     assert scn == Scenario(num_gus=6)
+    # JSON integers are valid floats, and integral numbers valid counts.
+    scn = scenario_from_dict({"max_power": 2, "ris_rows": 3.0, "ris_position": [190, 0]})
+    assert type(scn.max_power) is float and type(scn.ris_rows) is int
+    assert scn == Scenario(max_power=2.0, ris_rows=3, ris_position=(190.0, 0.0))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"num_gus": 2.7}, "num_gus must be an integer"),
+    ({"num_gus": True}, "num_gus must be a number"),
+    ({"ris_cols": float("inf")}, "ris_cols must be an integer"),
+    ({"max_power": "2"}, "max_power must be a number"),
+    ({"bandwidth": None}, "bandwidth must be a number"),
+    ({"min_rate": False}, "min_rate must be a number"),
+    ({"ris_position": [200, 0, 5]}, "ris_position must be an"),
+    ({"uav_initial_position": [200.0]}, "uav_initial_position must be an"),
+    ({"uav_initial_position": ["200", 50]}, "uav_initial_position must be a number"),
+    ({"gu_positions": 5}, "gu_positions must be a list"),
+    ({"num_gus": 1, "gu_positions": [[190, 20, 0]]}, r"gu_positions\[0\] must be an"),
+])
+def test_scenario_from_dict_rejects_values_it_would_coerce(fields, message):
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(fields)
+
+
+def test_hover_power_is_derived_not_a_field():
+    scn = Scenario(drone_mass=3.0, num_props=6)
+    assert scn.hover_power == hover_power(3.0, 9.8, 0.2, 6, 1.225)
+    assert "hover_power" not in scenario_to_dict(scn)
+    again = pickle.loads(pickle.dumps(scn))
+    assert again == scn and again.hover_power == scn.hover_power
+    assert dataclasses.replace(scn) == scn
+    heavier = dataclasses.replace(scn, drone_mass=6.0)
+    assert heavier.hover_power == hover_power(6.0, 9.8, 0.2, 6, 1.225)
 
 
 def test_scenario_from_dict_empty_gives_defaults():
