@@ -16,7 +16,7 @@ from .channel import (ChannelSet, GeometryError, ScatteringDraw, build_channel_s
                       ris_gu_block, sample_scattering, steering_vector)
 from .objective import (ConstraintReport, SolutionState, check_constraints,
                         energy_efficiency, evaluate_efficiency, hover_power,
-                        penalized_fitness, per_gu_rates, sum_rate, total_power)
+                        penalized_fitness, per_gu_rates, total_power)
 from .optim import (AdamConfig, GaConfig, adam_maximize, crossover_blend,
                     crossover_single_point, finite_diff_gradient, ga_binary_run,
                     ga_continuous_run, mutate_continuous, repair_power,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .channel import GeometryError, ScatteringDraw, build_channel_set, ris_gu_bl
 from .objective import (ConstraintReport, SolutionState, check_constraints, onoff_fitness,
                         penalized_fitness, phase_power_fitness, placement_objective,
                         power_fitness, validate_solution)
-from .optim import (AdamConfig, GaConfig, adam_maximize, ga_binary_run,
+from .optim import (POWER_FLOOR, AdamConfig, GaConfig, adam_maximize, ga_binary_run,
                     ga_continuous_run, repair_power)
 from .scenario import RngStream, Scenario, validate
 
@@ -39,7 +40,7 @@ class BcdConfig:
     ga_phase_cfg: GaConfig = field(default_factory=lambda: GaConfig(generations=100))
     ga_onoff_cfg: GaConfig = field(default_factory=lambda: GaConfig(generations=60))
     adam_cfg: AdamConfig = field(default_factory=AdamConfig)
-    power_floor: float = 1.0e-6      # p_min for the repair projection
+    power_floor: ClassVar[float] = POWER_FLOOR  # p_min for the repair projection
 
 
 @dataclass
@@ -58,7 +59,7 @@ def _check_bcd_config(cfg: BcdConfig) -> None:
         raise ValueError(f"max_outer_iters must be >= 1, got {cfg.max_outer_iters}")
 
 
-def initial_solution(scn: Scenario, power_floor: float = 1.0e-6) -> SolutionState:
+def initial_solution(scn: Scenario, power_floor: float = POWER_FLOOR) -> SolutionState:
     """All elements on, zero phases, uniform power split, UAV at its start point."""
     m, k = scn.num_elements, scn.num_gus
     powers = repair_power(np.full(k, scn.max_power / k), scn.max_power, power_floor)

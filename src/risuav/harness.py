@@ -26,7 +26,7 @@ import numpy as np
 from ._version import __version__
 from .bcd import (BcdConfig, BcdResult, baseline_no_ris, baseline_random_phase,
                   initial_solution, optimize)
-from .channel import build_channel_set, ris_gu_block, sample_scattering
+from .channel import build_channel_set, sample_scattering
 from .objective import SolutionState, check_constraints, evaluate_efficiency
 from .scenario import (RngStream, Scenario, default_scenario, load_scenario,
                        sample_gu_positions, scenario_from_dict, scenario_to_dict,
@@ -317,8 +317,8 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     Dropping later duplicates cannot move a tie, which the first row wins anyway.
     One kernel call scores a pattern's rows at several power scales, as many as
     keep it within theta_grid^max(m, 1) rows, and its scale-major argmax keeps
-    the (scale, row) order. Each pattern's effective channels are built
-    GU-major, (k, T), and reach the kernel as a (T, k) view, so its reductions
+    the (scale, row) order. Each pattern's gains |C|^2 are built GU-major, (k, T),
+    once for all its scales, and reach the kernel as a (T, k) view, so its reductions
     over k run as whole-column passes; that is bit-identical to the row-major
     layout only because k <= 2, and a sum of two terms rounds the same in
     either order.
@@ -369,18 +369,18 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     if len(lattice) == 0:
         raise RuntimeError("every point of the oracle's placement lattice is above the RIS")
 
-    chans = build_channel_set(inst, lattice, scatter, ris_gu=ris_gu_block(inst, scatter))
+    chans = build_channel_set(inst, lattice, scatter)
 
     best_eta = -np.inf
     best = None
     max_rows = theta_grid ** m_eff
     for w, direct, v in zip(lattice, chans.direct, chans.cascade):
         for pat, rows, block in blocks:
-            c_eff = (direct[:, None] + v @ block.T).T  # (T, k) view
+            gain = (np.abs(direct[:, None] + v @ block.T) ** 2).T  # (T, k) view
             n_on = pat.sum()
             step = max(1, max_rows // len(rows))
             for s0 in range(0, len(powers), step):
-                rates, _, eta = evaluate_efficiency(c_eff, powers[s0:s0 + step, None, :],
+                rates, _, eta = evaluate_efficiency(gain, powers[s0:s0 + step, None, :],
                                                     n_on, inst)
                 eta = np.where(np.all(rates >= inst.min_rate, axis=-1), eta, -np.inf)
                 s, j = np.unravel_index(np.argmax(eta), eta.shape)

@@ -69,30 +69,27 @@ def validate_solution(solution: SolutionState, scn: Scenario) -> SolutionState:
     return solution
 
 
-def per_gu_rates(channels, powers, bandwidth: float, noise: float) -> np.ndarray:
+def per_gu_rates(gain, powers, bandwidth: float, noise: float) -> np.ndarray:
     """Per-GU rates B*log2(1+SINR), broadcasting over leading axes.
 
-    channels and powers are (..., K); returns (..., K) bits/s.
+    gain (real gains |C_k|^2) and powers are (..., K); returns (..., K) bits/s.
     """
-    c = np.asarray(channels)
+    g = np.asarray(gain)
+    if np.iscomplexobj(g):
+        raise TypeError("per_gu_rates takes real gains |C|^2, not complex channels")
     p = np.asarray(powers, dtype=float)
-    gain = np.abs(c) ** 2
-    interference = gain * (p.sum(axis=-1, keepdims=True) - p)
-    gamma = gain * p / (interference + noise)
+    interference = g * (p.sum(axis=-1, keepdims=True) - p)
+    gamma = g * p / (interference + noise)
     return bandwidth * np.log2(1.0 + gamma)
 
 
-def sum_rate(channels, powers, bandwidth: float, noise: float) -> float:
-    return float(per_gu_rates(channels, powers, bandwidth, noise).sum(axis=-1))
-
-
-def evaluate_efficiency(c_eff, powers, n_active, scn: Scenario):
-    """(per-GU rates, total power, eta) from (..., K) channels and powers.
+def evaluate_efficiency(gain, powers, n_active, scn: Scenario):
+    """(per-GU rates, total power, eta) from (..., K) gains |C|^2 and powers.
 
     Total power is hover (``scn.hover_power``) + transmit + GU circuit +
     per-active-element RIS power.
     """
-    rates = per_gu_rates(c_eff, powers, scn.bandwidth, scn.noise_power)
+    rates = per_gu_rates(gain, powers, scn.bandwidth, scn.noise_power)
     k = rates.shape[-1]
     p_total = (scn.hover_power + np.asarray(powers, dtype=float).sum(axis=-1)
                + k * scn.gu_circuit_power + scn.ru_power * np.asarray(n_active))
@@ -100,7 +97,7 @@ def evaluate_efficiency(c_eff, powers, n_active, scn: Scenario):
 
 
 def total_power(solution: SolutionState, scn: Scenario) -> float:
-    """Total power in watts; channels do not enter it, so zeros stand in for them."""
+    """Total power in watts; gains do not enter it, so zeros stand in for them."""
     _, p_total, _ = evaluate_efficiency(np.zeros(len(solution.powers)), solution.powers,
                                         np.sum(solution.onoff), scn)
     return float(p_total)
@@ -115,8 +112,8 @@ def energy_efficiency(solution: SolutionState, scatter: ScatteringDraw,
 def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
                       scn: Scenario) -> ConstraintReport:
     chans = build_channel_set(scn, solution.uav_pos, scatter)
-    c_eff = effective_channels(chans, solution.phases, solution.onoff)
-    rates, p_total, eta = evaluate_efficiency(c_eff, solution.powers, np.sum(solution.onoff), scn)
+    gain = np.abs(effective_channels(chans, solution.phases, solution.onoff)) ** 2
+    rates, p_total, eta = evaluate_efficiency(gain, solution.powers, np.sum(solution.onoff), scn)
     rate_ok = rates >= scn.min_rate
     psum = float(np.sum(solution.powers))
     # <= is inclusive; the tiny relative slack absorbs repair-scaling roundoff.
@@ -130,7 +127,7 @@ def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
 
 def _fitness_core(c_eff, powers, onoff_total, scn: Scenario) -> np.ndarray:
     """Penalized fitness from effective channels, broadcast over leading axes."""
-    rates, _, eta = evaluate_efficiency(c_eff, powers, onoff_total, scn)
+    rates, _, eta = evaluate_efficiency(np.abs(c_eff) ** 2, powers, onoff_total, scn)
     if scn.min_rate > 0:
         deficit = np.clip((scn.min_rate - rates) / scn.min_rate, 0.0, None).sum(axis=-1)
         eta = np.where(deficit > 0.0, eta / (1.0 + RATE_PENALTY_WEIGHT * deficit), eta)

@@ -22,6 +22,14 @@ TWO_PI = 2.0 * np.pi
 
 # Default mutation scale for phase entries, radians.
 DEFAULT_THETA_SIGMA = 0.15
+# Mutation sigma of power entries, as a fraction of P_max.
+POWER_MUTATION_FRAC = 0.02
+# Lower bound on every transmit power in the repair projection, watts.
+POWER_FLOOR = 1.0e-6
+# Adam's moment decay rates and the denominator guard of its update.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,8 @@ class GaConfig:
     pop_pairs is L; the population holds 2L individuals. mutation_scale is the
     Gaussian sigma for phase entries (continuous GA) or the per-bit flip
     probability (binary GA); None resolves to 0.15 rad and min(1/m, 0.5)
-    respectively. power_mutation_frac scales the power-entry sigma as a fraction
-    of P_max. Elitism is always on: a generation that loses the best genome so
+    respectively; power entries always mutate with sigma POWER_MUTATION_FRAC *
+    P_max. Elitism is always on: a generation that loses the best genome so
     far gets it back in place of its worst child. The random stream is the
     generator each driver is handed, not part of the config.
     """
@@ -40,7 +48,6 @@ class GaConfig:
     pop_pairs: int = 25
     generations: int = 100
     mutation_scale: float | None = None
-    power_mutation_frac: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -49,13 +56,11 @@ class AdamConfig:
 
     step defaults to 1.0 m, sized for placement coordinates that span tens of
     meters; iters is the iteration budget; fd_step is the central-difference h.
+    The moment decays and the guard are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     The update always climbs: every caller maximizes.
     """
 
     step: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1.0e-8
     iters: int = 50
     fd_step: float = 0.5
 
@@ -67,15 +72,11 @@ def _check_ga_config(cfg: GaConfig) -> None:
         raise ValueError(f"generations must be >= 1, got {cfg.generations}")
     if cfg.mutation_scale is not None and cfg.mutation_scale < 0:
         raise ValueError(f"mutation_scale must be >= 0, got {cfg.mutation_scale}")
-    if cfg.power_mutation_frac < 0:
-        raise ValueError(f"power_mutation_frac must be >= 0, got {cfg.power_mutation_frac}")
 
 
 def _check_adam_config(cfg: AdamConfig) -> None:
-    if cfg.step <= 0 or cfg.eps <= 0 or cfg.fd_step <= 0:
-        raise ValueError("step, eps, and fd_step must all be positive")
-    if not (0.0 <= cfg.beta1 < 1.0 and 0.0 <= cfg.beta2 < 1.0):
-        raise ValueError("beta1 and beta2 must lie in [0, 1)")
+    if cfg.step <= 0 or cfg.fd_step <= 0:
+        raise ValueError("step and fd_step must both be positive")
     if cfg.iters < 1:
         raise ValueError(f"iters must be >= 1, got {cfg.iters}")
 
@@ -149,7 +150,7 @@ def wrap_phase(theta) -> np.ndarray:
     return np.where(t >= TWO_PI, 0.0, t)
 
 
-def repair_power(p_raw, p_max: float, p_min: float = 1.0e-6) -> np.ndarray:
+def repair_power(p_raw, p_max: float, p_min: float = POWER_FLOOR) -> np.ndarray:
     """Project raw powers onto the feasible set: each >= p_min, sum <= p_max.
 
     Entries are clamped up to p_min first; if the sum then exceeds p_max, all
@@ -216,7 +217,7 @@ def _ga_loop(fitness, pop: np.ndarray, cfg: GaConfig, rng: np.random.Generator,
 
 def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
                       rng: np.random.Generator, p_max: float = 1.0,
-                      p_min: float = 1.0e-6, seed_genomes=None):
+                      p_min: float = POWER_FLOOR, seed_genomes=None):
     """Run the continuous GA over [theta | P] genomes.
 
     fitness maps an (n, m+k) population to (n,) nonnegative values. dims is
@@ -235,7 +236,7 @@ def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
     n = 2 * cfg.pop_pairs
     sigma_theta = DEFAULT_THETA_SIGMA if cfg.mutation_scale is None else cfg.mutation_scale
     sigma = np.concatenate([np.full(m, sigma_theta),
-                            np.full(k, cfg.power_mutation_frac * p_max)])
+                            np.full(k, POWER_MUTATION_FRAC * p_max)])
 
     pop = np.empty((n, m + k))
     pop[:, :m] = rng.uniform(0.0, TWO_PI, size=(n, m))
@@ -325,14 +326,6 @@ def finite_diff_gradient(f, w, h: float) -> np.ndarray:
     return _stencil_gradient(values, w, h)
 
 
-def _update_moments(m: np.ndarray, v: np.ndarray, g: np.ndarray,
-                    beta1: float, beta2: float):
-    """One step of the exponential moment recurrences."""
-    m_next = beta1 * m + (1.0 - beta1) * g
-    v_next = beta2 * v + (1.0 - beta2) * g * g
-    return m_next, v_next
-
-
 def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
     """Adam ascent with bias-corrected moments over a scalar field on R^2.
 
@@ -365,10 +358,11 @@ def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
 
     for i in range(1, cfg.iters + 1):
         g = _stencil_gradient(values[1:], w, cfg.fd_step)
-        m, v = _update_moments(m, v, g, cfg.beta1, cfg.beta2)
-        m_hat = m / (1.0 - cfg.beta1 ** i)
-        v_hat = v / (1.0 - cfg.beta2 ** i)
-        w = w + cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** i)
+        v_hat = v / (1.0 - ADAM_BETA2 ** i)
+        w = w + cfg.step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         # The last iterate needs no gradient, so it is scored alone.
         values = evaluate(_stencil(w, cfg.fd_step) if i < cfg.iters else w[None, :])
         f_cur = float(values[0])

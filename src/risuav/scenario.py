@@ -118,10 +118,10 @@ def validate(scn: Scenario) -> Scenario:
         value = getattr(scn, name)
         if not np.isfinite(value) or value <= 0:
             raise ScenarioError(f"{name} must be strictly positive, got {value}")
-    if scn.min_rate < 0 or not np.isfinite(scn.min_rate):
-        raise ScenarioError(f"min_rate must be >= 0, got {scn.min_rate}")
-    if scn.rician_ug < 0 or scn.rician_rg < 0:
-        raise ScenarioError("rician_ug and rician_rg must be >= 0")
+    for name in ("min_rate", "rician_ug", "rician_rg"):
+        value = getattr(scn, name)
+        if not np.isfinite(value) or value < 0:
+            raise ScenarioError(f"{name} must be finite and >= 0, got {value}")
     for name in ("ris_position", "uav_initial_position"):
         pos = getattr(scn, name)
         if len(pos) != 2 or not np.all(np.isfinite(pos)):

@@ -286,6 +286,8 @@ def test_run_scenario_flag_replaces_the_embedded_scenario(tmp_path):
     ({"ris_position": [200, 0, 5]}, "ris_position"),
     ({"bandwidth": None}, "bandwidth"),
     ({"gu_positions": 5}, "gu_positions"),
+    ({"rician_ug": float("nan")}, "rician_ug"),  # written as the JSON literal NaN
+    ({"rician_rg": float("inf")}, "rician_rg"),  # written as Infinity
 ])
 def test_bad_scenario_file_fails_before_any_cell(tmp_path, capsys, fields, message):
     scenario = tmp_path / "missing.json"

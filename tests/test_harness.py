@@ -222,8 +222,8 @@ def test_run_oracle_matches_direct_enumeration():
             for x in (0.0, 1.0):
                 for theta in 2 * np.pi * np.arange(4) / 4:
                     c = effective_channels(chans, np.array([theta]), np.array([x]))
-                    rate = float(per_gu_rates(c, np.array([1.0]), scn.bandwidth,
-                                              scn.noise_power).sum())
+                    rate = float(per_gu_rates(np.abs(c) ** 2, np.array([1.0]),
+                                              scn.bandwidth, scn.noise_power).sum())
                     if rate < scn.min_rate:
                         continue
                     p_t = (78.19268695868081 + 1.0 + scn.gu_circuit_power
@@ -277,9 +277,10 @@ def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed, power_grid=16
             v = np.conj(chans.ris_gu) * chans.uav_ris[None, :]
             for pat in patterns:
                 c_eff = chans.direct[None, :] + (phase_factors * pat[None, :]) @ v.T
+                gain = np.abs(c_eff) ** 2
                 for c in scales:
                     p = c * p_split
-                    rates, _, eta = evaluate_efficiency(c_eff, p[None, :], pat.sum(), inst)
+                    rates, _, eta = evaluate_efficiency(gain, p[None, :], pat.sum(), inst)
                     ok = np.all(rates >= inst.min_rate, axis=1)
                     n_ok += int(ok.sum())
                     n_bad += int((~ok).sum())
@@ -356,10 +357,12 @@ def test_run_oracle_kernel_calls_stay_within_the_row_cap(monkeypatch, m, theta_g
                                                          power_grid):
     counts = []
 
-    def counting(c_eff, powers, *args):
-        shape = np.broadcast_shapes(np.shape(c_eff), np.shape(powers))
+    def counting(gain, powers, *args):
+        # The oracle hands the kernel gains |C|^2 it squared itself, never channels.
+        assert isinstance(gain, np.ndarray) and gain.dtype.kind == "f"
+        shape = np.broadcast_shapes(np.shape(gain), np.shape(powers))
         counts.append(int(np.prod(shape[:-1])))
-        return evaluate_efficiency(c_eff, powers, *args)
+        return evaluate_efficiency(gain, powers, *args)
 
     monkeypatch.setattr(harness, "evaluate_efficiency", counting)
     run_oracle(m, 2, theta_grid, 2, power_grid=power_grid)

@@ -18,9 +18,9 @@ import pytest
 from risuav.channel import (GeometryError, ScatteringDraw, build_channel_set,
                             effective_channels, sample_scattering)
 from risuav.objective import (FITNESS_FLOOR, SolutionState, check_constraints,
-                              energy_efficiency, hover_power, onoff_fitness,
-                              penalized_fitness, per_gu_rates, phase_power_fitness,
-                              placement_objective, power_fitness, sum_rate,
+                              energy_efficiency, evaluate_efficiency, hover_power,
+                              onoff_fitness, penalized_fitness, per_gu_rates,
+                              phase_power_fitness, placement_objective, power_fitness,
                               total_power, validate_solution)
 from risuav.scenario import RngStream, default_scenario, with_gu_positions
 
@@ -77,7 +77,7 @@ def test_hover_power_rejects_nonpositive():
 
 def test_sinr_zero_power():
     assert sinr(np.array([0.5 + 0.5j]), np.array([0.0]), 0, 1e-9) == 0.0
-    assert per_gu_rates(np.array([0.5 + 0.5j]), np.array([0.0]), 2.0e7, 1e-9)[0] == 0.0
+    assert per_gu_rates(np.array([0.5]), np.array([0.0]), 2.0e7, 1e-9)[0] == 0.0
 
 
 def test_sinr_two_equal_users():
@@ -87,34 +87,45 @@ def test_sinr_two_equal_users():
     expect = 0.25 * 0.6 / (0.25 * 0.6 + noise)
     assert sinr(c, p, 0, noise) == pytest.approx(expect, rel=1e-12)
     assert sinr(c, p, 0, noise) < 1.0
-    np.testing.assert_allclose(per_gu_rates(c, p, 2.0e7, noise),
+    np.testing.assert_allclose(per_gu_rates(np.abs(c) ** 2, p, 2.0e7, noise),
                                2.0e7 * np.log2(1.0 + expect), rtol=1e-12)
 
 
 def test_sum_rate_single_user_oracle():
-    # |C|=1, p=10, noise=1 gives gamma=10 exactly.
-    r = sum_rate(np.array([1.0 + 0j]), np.array([10.0]), 2.0e7, 1.0)
+    # |C|^2=1, p=10, noise=1 gives gamma=10 exactly.
+    r = per_gu_rates(np.array([1.0]), np.array([10.0]), 2.0e7, 1.0).sum()
     assert r == pytest.approx(69188632.37274595, rel=1e-12)
 
 
 def test_sum_rate_zero_powers():
-    assert sum_rate(np.array([1.0, 2.0]), np.zeros(2), 2.0e7, 1e-9) == 0.0
+    assert per_gu_rates(np.array([1.0, 4.0]), np.zeros(2), 2.0e7, 1e-9).sum() == 0.0
 
 
 def test_per_gu_rates_matches_sinr_composition():
     rng = np.random.default_rng(3)
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     p = rng.uniform(0.1, 0.4, 4)
-    rates = per_gu_rates(c, p, 2.0e7, 1e-9)
+    rates = per_gu_rates(np.abs(c) ** 2, p, 2.0e7, 1e-9)
     for k in range(4):
         gamma = sinr(c, p, k, 1e-9)
         assert rates[k] == pytest.approx(2.0e7 * np.log2(1 + gamma), rel=1e-12)
 
 
 def test_per_gu_rates_broadcasts():
-    c = np.ones((5, 3), dtype=complex)
+    g = np.ones((5, 3))
     p = np.full((5, 3), 0.2)
-    assert per_gu_rates(c, p, 2.0e7, 1e-9).shape == (5, 3)
+    assert per_gu_rates(g, p, 2.0e7, 1e-9).shape == (5, 3)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda c, p: per_gu_rates(c, p, 2.0e7, 1e-9),
+    lambda c, p: evaluate_efficiency(c, p, 60, default_scenario()),
+], ids=["per_gu_rates", "evaluate_efficiency"])
+def test_kernel_rejects_complex_channels(kernel):
+    # The kernel takes gains |C|^2; a complex input is a channel passed by mistake.
+    for c in (np.ones((5, 3), dtype=complex), [0.3 + 0.4j, 0.5, 0.1]):
+        with pytest.raises(TypeError, match="gains"):
+            kernel(c, np.full(3, 0.2))
 
 
 def test_total_power_all_terms():

@@ -1,12 +1,16 @@
 """Operator-level and driver-level checks for the GA and Adam solvers."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from risuav.bcd import BcdConfig, initial_solution
 from risuav.channel import sample_scattering
 from risuav.objective import placement_objective
-from risuav.optim import (DEFAULT_THETA_SIGMA, AdamConfig, GaConfig, adam_maximize,
-                          crossover_blend, crossover_single_point,
+from risuav.optim import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DEFAULT_THETA_SIGMA,
+                          POWER_FLOOR, POWER_MUTATION_FRAC, AdamConfig, GaConfig,
+                          adam_maximize, crossover_blend, crossover_single_point,
                           finite_diff_gradient, ga_binary_run, ga_continuous_run,
                           mutate_continuous, repair_power, selection_sample,
                           wrap_phase)
@@ -264,6 +268,25 @@ def test_ga_binary_trace_monotone_with_elitism():
     assert np.all(np.diff(trace) >= 0.0)
 
 
+@pytest.mark.parametrize("config, keyword", [
+    (GaConfig, "power_mutation_frac"),
+    (AdamConfig, "beta1"),
+    (AdamConfig, "beta2"),
+    (AdamConfig, "eps"),
+    (BcdConfig, "power_floor"),
+])
+def test_fixed_solver_constants_are_not_settings(config, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        config(**{keyword: 0.5})
+
+
+def test_power_floor_has_one_home():
+    assert BcdConfig().power_floor == BcdConfig.power_floor == POWER_FLOOR == 1.0e-6
+    for fn, name in ((repair_power, "p_min"), (ga_continuous_run, "p_min"),
+                     (initial_solution, "power_floor")):
+        assert inspect.signature(fn).parameters[name].default == POWER_FLOOR
+
+
 def test_ga_binary_rejects_bad_flip_probability():
     with pytest.raises(ValueError, match="flip probability"):
         ga_binary_run(lambda pop: np.ones(len(pop)), 4,
@@ -360,11 +383,11 @@ def _ref_adam_maximize(f, w0, cfg):
             e = np.zeros(w.size)
             e[j] = cfg.fd_step
             g[j] = (float(f(w + e)) - float(f(w - e))) / (2.0 * cfg.fd_step)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** i)
-        v_hat = v / (1.0 - cfg.beta2 ** i)
-        w = w + cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** i)
+        v_hat = v / (1.0 - ADAM_BETA2 ** i)
+        w = w + cfg.step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         f_cur = float(f(w))
         trace.append(f_cur)
         if f_cur > best_f:
@@ -452,13 +475,13 @@ def _ref_single_point(a, b, cut):
     return np.concatenate([a[:cut], b[cut:]]), np.concatenate([b[:cut], a[cut:]])
 
 
-def _ref_ga_continuous(fitness, dims, cfg, rng, p_max=1.0, p_min=1.0e-6,
+def _ref_ga_continuous(fitness, dims, cfg, rng, p_max=1.0, p_min=POWER_FLOOR,
                        seed_genomes=None):
     m, k = dims
     n = 2 * cfg.pop_pairs
     sigma_theta = DEFAULT_THETA_SIGMA if cfg.mutation_scale is None else cfg.mutation_scale
     sigma = np.concatenate([np.full(m, sigma_theta),
-                            np.full(k, cfg.power_mutation_frac * p_max)])
+                            np.full(k, POWER_MUTATION_FRAC * p_max)])
     pop = np.empty((n, m + k))
     pop[:, :m] = rng.uniform(0.0, TWO_PI, size=(n, m))
     if k:

@@ -44,6 +44,16 @@ def test_validate_rejects_nonpositive_fields():
         validate(Scenario(num_gus=0))
 
 
+@pytest.mark.parametrize("name", ["rician_ug", "rician_rg"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_validate_rejects_bad_rician_factors(name, value):
+    # Past validation, an infinite factor fails every cell with a GeometryError.
+    with pytest.raises(ScenarioError, match=f"{name} must be finite"):
+        validate(Scenario(**{name: value}))
+    with pytest.raises(ScenarioError, match=name):
+        scenario_from_dict({name: value})
+
+
 def test_validate_rejects_wrong_gu_count():
     with pytest.raises(ScenarioError, match="gu_positions"):
         validate(Scenario(num_gus=3, gu_positions=((1.0, 2.0),)))
