@@ -53,7 +53,7 @@ def steering_vector(m_r: int, m_c: int, d_r: float, d_c: float, wavelength: floa
     magnitude 1.
     """
     for name, val in (("phi", phi), ("varphi", varphi), ("psi", psi)):
-        if np.any(np.abs(val) > 1.0 + _COS_TOL):
+        if (np.abs(val) > 1.0 + _COS_TOL).any():
             raise ValueError(f"direction component {name}={val} outside [-1, 1]")
     phi, varphi, psi = (np.asarray(a, dtype=float)[..., None] for a in (phi, varphi, psi))
     row = np.exp(-1j * 2.0 * np.pi * (d_r / wavelength) * np.arange(m_r) * phi * psi)
@@ -129,7 +129,7 @@ def channel_uav_ris(scn: Scenario, w_u) -> np.ndarray:
     d_h = ris - w
     # A dot product per position: the same bits as np.linalg.norm of one vector.
     hnorm = np.sqrt((d_h[..., None, :] @ d_h[..., :, None])[..., 0, 0])
-    if np.any(hnorm == 0.0):
+    if (hnorm == 0.0).any():
         raise GeometryError("UAV horizontally coincident with the RIS")
     d = np.hypot(hnorm, scn.uav_altitude - scn.ris_altitude)
     phi = (w[..., 1] - ris[1]) / hnorm
@@ -153,7 +153,7 @@ def build_channel_set(scn: Scenario, w_u, scatter: ScatteringDraw,
 
     dvec = gus - w[..., None, :]
     d_ug = np.sqrt(np.sum(dvec ** 2, axis=-1) + scn.uav_altitude ** 2)
-    if np.any(d_ug == 0.0):
+    if (d_ug == 0.0).any():
         raise GeometryError("UAV coincides with a GU")
     amp_ug = np.sqrt(scn.ref_path_loss / d_ug ** scn.pathloss_exp_ug)
     kap = scn.rician_ug
@@ -166,8 +166,8 @@ def build_channel_set(scn: Scenario, w_u, scatter: ScatteringDraw,
         ris_gu = ris_gu_block(scn, scatter)
 
     cs = ChannelSet(direct=direct, uav_ris=uav_ris, ris_gu=ris_gu)
-    if not (np.all(np.isfinite(cs.direct)) and np.all(np.isfinite(cs.uav_ris))
-            and np.all(np.isfinite(cs.ris_gu))):
+    if not (np.isfinite(cs.direct).all() and np.isfinite(cs.uav_ris).all()
+            and np.isfinite(cs.ris_gu).all()):
         raise GeometryError("non-finite channel gain")
     return cs
 

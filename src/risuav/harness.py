@@ -108,6 +108,11 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
             raise ValueError(f"unknown scheme(s): {', '.join(bad)}")
     if any(v < 1 for v in spec.sweep_values):
         raise ValueError(f"sweep_values must be positive, got {spec.sweep_values}")
+    # A repeated entry would run the same cell twice: duplicate rows, one trace.
+    for name in ("seeds", "sweep_values", "schemes"):
+        values = getattr(spec, name)
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
     for name in _COUNT_FIELDS:
         if getattr(spec, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")

@@ -129,7 +129,7 @@ def _fitness_core(c_eff, powers, onoff_total, scn: Scenario) -> np.ndarray:
     """Penalized fitness from effective channels, broadcast over leading axes."""
     rates, _, eta = evaluate_efficiency(np.abs(c_eff) ** 2, powers, onoff_total, scn)
     if scn.min_rate > 0:
-        deficit = np.clip((scn.min_rate - rates) / scn.min_rate, 0.0, None).sum(axis=-1)
+        deficit = np.maximum((scn.min_rate - rates) / scn.min_rate, 0.0).sum(axis=-1)
         eta = np.where(deficit > 0.0, eta / (1.0 + RATE_PENALTY_WEIGHT * deficit), eta)
     return np.maximum(eta, FITNESS_FLOOR)
 

@@ -92,12 +92,17 @@ def selection_sample(fitnesses, rng: np.random.Generator, size=None):
     taken in one call, which consumes the generator exactly as size scalar calls.
     """
     f = np.asarray(fitnesses, dtype=float)
-    if np.any(f < 0) or not np.all(np.isfinite(f)):
+    if (f < 0).any() or not np.isfinite(f).all():
         raise ValueError("fitnesses must be finite and nonnegative")
     total = f.sum()
     if total <= 0.0:
         raise ValueError("all-zero fitnesses: selection PMF undefined")
-    idx = rng.choice(f.size, size=size, p=f / total)
+    # The cdf search Generator.choice(f.size, size, p=f / total) runs when drawing
+    # with replacement, without its second check of p: the same indices, and the
+    # generator left in the same state.
+    cdf = (f / total).cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(size), side="right")
     return int(idx) if size is None else idx
 
 
@@ -113,7 +118,12 @@ def crossover_blend(a, b, rng: np.random.Generator):
     if a.shape != b.shape:
         raise ValueError(f"parent shapes differ: {a.shape} vs {b.shape}")
     w = rng.uniform(size=a.shape[:-1])[..., None]
-    return w * a + (1.0 - w) * b, (1.0 - w) * a + w * b
+    v = 1.0 - w
+    c1 = w * a
+    c1 += v * b
+    c2 = v * a
+    c2 += w * b
+    return c1, c2
 
 
 def crossover_single_point(a, b, cut):
@@ -128,7 +138,7 @@ def crossover_single_point(a, b, cut):
         raise ValueError(f"parent shapes differ: {a.shape} vs {b.shape}")
     m = a.shape[-1]
     cut = np.asarray(cut)
-    if np.any(cut < 1) or np.any(cut > m - 1):
+    if (cut < 1).any() or (cut > m - 1).any():
         raise ValueError(f"cut must be in [1, {m - 1}], got {cut}")
     head = np.arange(m) < cut[..., None]
     return np.where(head, a, b), np.where(head, b, a)
@@ -141,13 +151,22 @@ def mutate_continuous(genome, sigma, rng: np.random.Generator) -> np.ndarray:
     Wrapping and repair are the caller's job.
     """
     g = np.asarray(genome, dtype=float)
-    return g + rng.standard_normal(g.shape) * sigma
+    noise = rng.standard_normal(g.shape)
+    noise *= sigma
+    noise += g
+    return noise
 
 
 def wrap_phase(theta) -> np.ndarray:
-    """Wrap angles into [0, 2*pi). Guards the mod-rounding edge at exactly 2*pi."""
-    t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-    return np.where(t >= TWO_PI, 0.0, t)
+    """Wrap angles into [0, 2*pi): the bits of np.mod(theta, 2*pi), with 2*pi mapped to 0.
+
+    fmod then a 2*pi shift of negative remainders is np.mod's own rule for a
+    positive divisor, at a third of its cost. A zero remainder becomes +0.0, as
+    in np.mod, and a tiny negative that rounds up to 2*pi wraps to 0.
+    """
+    t = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+    t = np.where(t < 0.0, t + TWO_PI, t)
+    return np.where((t >= TWO_PI) | (t == 0.0), 0.0, t)
 
 
 def repair_power(p_raw, p_max: float, p_min: float = POWER_FLOOR) -> np.ndarray:
@@ -163,7 +182,7 @@ def repair_power(p_raw, p_max: float, p_min: float = POWER_FLOOR) -> np.ndarray:
         raise ValueError(f"p_min must be > 0, got {p_min}")
     if k and p_min * k >= p_max:
         raise ValueError(f"infeasible bounds: p_min*K = {p_min * k} >= p_max = {p_max}")
-    p = np.clip(p, p_min, None)
+    p = np.maximum(p, p_min)
     s = p.sum(axis=-1, keepdims=True)
     # Exactly 1.0 unless s > p_max, with no zero divisor for an empty power block.
     return p * (p_max / np.maximum(s, p_max))
@@ -249,11 +268,12 @@ def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
     def mutate(children):
         # Wrap and repair, so every individual in every generation is feasible.
         children = mutate_continuous(children, sigma, rng)
-        children[:, :m] = wrap_phase(children[:, :m])
+        if m:
+            children[:, :m] = wrap_phase(children[:, :m])
         children[:, m:] = repair_power(children[:, m:], p_max, p_min)
-        assert np.all(children[:, :m] >= 0.0) and np.all(children[:, :m] < TWO_PI)
-        assert np.all(children[:, m:] > 0.0)
-        assert np.all(children[:, m:].sum(axis=1) <= p_max * (1.0 + 1.0e-9))
+        assert (children[:, :m] >= 0.0).all() and (children[:, :m] < TWO_PI).all()
+        assert (children[:, m:] > 0.0).all()
+        assert (children[:, m:].sum(axis=1) <= p_max * (1.0 + 1.0e-9)).all()
         return children
 
     return _ga_loop(fitness, pop, cfg, rng, lambda a, b: crossover_blend(a, b, rng), mutate)
@@ -307,7 +327,7 @@ def _stencil(w: np.ndarray, h: float) -> np.ndarray:
 def _stencil_gradient(values: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient from f at _stencil(w, h)[1:], in that row order."""
     f_plus, f_minus = values[0::2], values[1::2]
-    if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+    if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
         raise FloatingPointError(
             f"objective non-finite at finite-difference stencil around {w}")
     return (f_plus - f_minus) / (2.0 * h)

@@ -231,6 +231,11 @@ _TINY_SWEEP = ["sweep-elements", "--m", "2", "--seeds", "1"]
     (_tiny_spec(output_path=5), "output_path"),
     (_tiny_spec(scenario_inline=None, scenario_path=0), "scenario_path"),
     (_tiny_spec(scenario_inline=[1, 2]), "scenario_inline"),
+    (_tiny_spec(seeds=[0, 0]), "seeds"),
+    (_tiny_spec(kind="sweep-elements", sweep_values=[2, 2], fixed_gus=1), "sweep_values"),
+    (_tiny_spec(schemes=["no-ris", "no-ris"]), "schemes"),
+    (["sweep-gus", "--m", "2", "--k", "1,1", "--seeds", "1", "--max-outer", "1"],
+     "sweep_values"),
 ])
 def test_bad_spec_values_fail_before_any_cell(tmp_path, capsys, args, field):
     # args is a command line, or a spec document that ``run --spec`` reads.

@@ -38,6 +38,22 @@ def test_selection_uniform_for_equal_fitnesses():
     np.testing.assert_allclose(counts, 0.25, atol=0.02)
 
 
+@pytest.mark.parametrize("size", [None, 1, 7, 50])
+def test_selection_draws_what_generator_choice_draws(size):
+    f = np.random.default_rng(30).uniform(0.0, 3.0, size=13) ** 3
+    f[[2, 9]] = 0.0
+    rng, rng_ref = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(5):
+        idx = selection_sample(f, rng, size=size)
+        ref = rng_ref.choice(f.size, size=size, p=f / f.sum())
+        if size is None:
+            assert type(idx) is int and idx == ref
+        else:
+            assert idx.dtype == ref.dtype
+            np.testing.assert_array_equal(idx, ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_selection_rejects_bad_fitnesses():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
@@ -109,9 +125,58 @@ def test_mutate_continuous_per_entry_sigma_broadcast():
     assert not np.allclose(out[:, 1], g[:, 1])
 
 
+def test_mutate_continuous_matches_the_unfused_form():
+    g = np.random.default_rng(32).uniform(-3.0, 3.0, size=(6, 5))
+    sigma = np.array([0.15, 0.15, 0.15, 0.02, 0.02])
+    rng, rng_ref = np.random.default_rng(33), np.random.default_rng(33)
+    out = mutate_continuous(g, sigma, rng)
+    ref = g + rng_ref.standard_normal(g.shape) * sigma
+    assert out.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Wrap and repair
 # ---------------------------------------------------------------------------
+
+def _ref_wrap(theta):
+    """The np.mod form of the phase wrap, with 2*pi itself mapped to 0."""
+    t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    return np.where(t >= TWO_PI, 0.0, t)
+
+
+_WRAP_EDGES = [0.0, -0.0, TWO_PI, -TWO_PI, 2 * TWO_PI, -2 * TWO_PI, 7 * TWO_PI, -5 * TWO_PI,
+               np.nextafter(TWO_PI, 0.0), -np.nextafter(TWO_PI, 0.0), -5e-324, -1e-300,
+               -1e-17, -1e-16, 1e-300, 6.4, -0.1, 1e300, -1e300,
+               np.nan, -np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("theta", [
+    *_WRAP_EDGES,
+    np.float64(-0.0),
+    np.array(-0.0),
+    np.array(-TWO_PI),
+    np.array(np.nan),
+    np.array(_WRAP_EDGES),
+    np.array(_WRAP_EDGES).reshape(1, -1)[:, ::2],
+    np.empty(0),
+    np.empty((50, 0)),
+], ids=lambda v: repr(v) if np.ndim(v) == 0 else f"array{np.shape(v)}")
+def test_wrap_phase_matches_mod_form_byte_for_byte(theta):
+    with np.errstate(invalid="ignore"):
+        out, ref = wrap_phase(theta), _ref_wrap(theta)
+    assert type(out) is type(ref)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_repair_power_matches_clip_form_byte_for_byte():
+    raw = np.array([[-0.0, 0.0, 1e-9, 0.3], [np.nan, 0.5, -2.0, 0.1],
+                    [3.0, 1.0, 2.0, 4.0], [-np.inf, 0.2, 0.2, 0.2]])
+    clipped = np.clip(raw, POWER_FLOOR, None)
+    ref = clipped * (1.0 / np.maximum(clipped.sum(axis=-1, keepdims=True), 1.0))
+    assert repair_power(raw, 1.0).tobytes() == ref.tobytes()
+
 
 def test_wrap_phase_values():
     assert wrap_phase(6.4) == pytest.approx(6.4 - TWO_PI, rel=1e-12)
@@ -463,8 +528,14 @@ def test_default_theta_sigma_value():
 # ---------------------------------------------------------------------------
 # The drivers draw all parents and build all children of a generation with one
 # call per operator. The loops below are the per-individual and per-pair form
-# the drivers used to run; the batched form must consume the generator the same
-# way and give bit-identical children.
+# the drivers used to run. Selection, mutation and the phase wrap are written out
+# with Generator.choice, an unfused sum and np.mod, not the library's operators.
+# The batched form must consume the generator the same way and give
+# bit-identical children.
+
+def _ref_select(f, rng):
+    return int(rng.choice(f.size, p=f / f.sum()))
+
 
 def _ref_blend(a, b, rng):
     w = rng.uniform()
@@ -488,7 +559,7 @@ def _ref_ga_continuous(fitness, dims, cfg, rng, p_max=1.0, p_min=POWER_FLOOR,
         pop[:, m:] = repair_power(rng.uniform(0.0, p_max, size=(n, k)), p_max, p_min)
     if seed_genomes is not None:
         injected = np.atleast_2d(np.asarray(seed_genomes, dtype=float))[:n]
-        pop[:len(injected), :m] = wrap_phase(injected[:, :m])
+        pop[:len(injected), :m] = _ref_wrap(injected[:, :m])
         if k:
             pop[:len(injected), m:] = repair_power(injected[:, m:], p_max, p_min)
     fit = np.asarray(fitness(pop), dtype=float)
@@ -496,13 +567,13 @@ def _ref_ga_continuous(fitness, dims, cfg, rng, p_max=1.0, p_min=POWER_FLOOR,
     best, best_fit = pop[best_i].copy(), float(fit[best_i])
     trace = [float(fit.max())]
     for _ in range(cfg.generations):
-        idx = [selection_sample(fit, rng) for _ in range(n)]
+        idx = [_ref_select(fit, rng) for _ in range(n)]
         children = np.empty_like(pop)
         for pair in range(cfg.pop_pairs):
             children[2 * pair], children[2 * pair + 1] = _ref_blend(
                 pop[idx[2 * pair]], pop[idx[2 * pair + 1]], rng)
-        children = mutate_continuous(children, sigma, rng)
-        children[:, :m] = wrap_phase(children[:, :m])
+        children = children + rng.standard_normal(children.shape) * sigma
+        children[:, :m] = _ref_wrap(children[:, :m])
         if k:
             children[:, m:] = repair_power(children[:, m:], p_max, p_min)
         child_fit = np.asarray(fitness(children), dtype=float)
@@ -530,7 +601,7 @@ def _ref_ga_binary(fitness, m, cfg, rng, seed_genomes=None):
     best, best_fit = pop[best_i].copy(), float(fit[best_i])
     trace = [float(fit.max())]
     for _ in range(cfg.generations):
-        idx = [selection_sample(fit, rng) for _ in range(n)]
+        idx = [_ref_select(fit, rng) for _ in range(n)]
         children = np.empty_like(pop)
         for pair in range(cfg.pop_pairs):
             a, b = pop[idx[2 * pair]], pop[idx[2 * pair + 1]]
