@@ -13,7 +13,7 @@ from .scenario import (GU_DISK_CENTER, GU_DISK_RADIUS, RngStream, Scenario,
                        scenario_to_dict, validate, with_gu_positions)
 from .channel import (ChannelSet, GeometryError, ScatteringDraw, build_channel_set,
                       channel_uav_gu, channel_uav_ris, distance_3d, effective_channels,
-                      ris_gu_block, sample_scattering, steering_vector)
+                      instance_terms, ris_gu_block, sample_scattering, steering_vector)
 from .objective import (ConstraintReport, SolutionState, check_constraints,
                         energy_efficiency, evaluate_efficiency, hover_power,
                         penalized_fitness, per_gu_rates, total_power)

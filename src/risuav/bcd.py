@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channel import GeometryError, ScatteringDraw, build_channel_set, ris_gu_block
+from .channel import GeometryError, ScatteringDraw, build_channel_set, instance_terms
 from .objective import (ConstraintReport, SolutionState, check_constraints, onoff_fitness,
                         penalized_fitness, phase_power_fitness, placement_objective,
                         power_fitness, validate_solution)
@@ -80,17 +80,17 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
     sol = init.copy()
     sol.powers = repair_power(sol.powers, scn.max_power, cfg.power_floor)
 
-    cached_ris_gu = ris_gu_block(scn, scatter)
+    terms = instance_terms(scn, scatter)
 
     def score(s: SolutionState) -> float:
-        chans = build_channel_set(scn, s.uav_pos, scatter, ris_gu=cached_ris_gu)
+        chans = build_channel_set(scn, s.uav_pos, scatter, terms=terms)
         return penalized_fitness(s, scatter, scn, chans=chans)
 
     cur = score(sol)
     trace = [cur]
 
     for it in range(1, cfg.max_outer_iters + 1):
-        chans = build_channel_set(scn, sol.uav_pos, scatter, ris_gu=cached_ris_gu)
+        chans = build_channel_set(scn, sol.uav_pos, scatter, terms=terms)
 
         # (a) phases and powers jointly, or powers alone when phases are frozen.
         # The incumbent genome seeds the population so passes refine, not restart.

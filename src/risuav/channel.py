@@ -3,7 +3,8 @@
 Three links per GU: a Rician direct UAV-GU scalar, a pure-LOS UAV-RIS vector built
 from the planar-array steering response, and a Rician RIS-GU vector whose LOS part
 is the matching steering response on the GU side. ``effective_channels`` composes
-them with the per-element phase shifts and on-off states.
+them with the per-element phase shifts and on-off states. Every term that does
+not depend on the UAV position is built once per instance (:func:`instance_terms`).
 
 Scattering components are drawn once per run (see :class:`ScatteringDraw`) and held
 fixed, so every gain is a deterministic function of the decision variables. That
@@ -12,7 +13,7 @@ determinism is what makes finite-difference placement gradients meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +44,20 @@ def _planar_response(row: np.ndarray, col: np.ndarray) -> np.ndarray:
     return (row[..., :, None] * col[..., None, :]).reshape(row.shape[:-1] + (-1,))
 
 
+def _ramp(m: int, spacing: float, wavelength: float) -> np.ndarray:
+    """(m,) phase-ramp prefix -2j*pi*(d/lambda)*n of one array axis, before the direction."""
+    return (-1j * 2.0 * np.pi * (spacing / wavelength)) * np.arange(m)
+
+
+def _steer(row_ramp: np.ndarray, col_ramp: np.ndarray, phi, varphi, psi) -> np.ndarray:
+    """steering_vector from the two axes' ramp prefixes (see :func:`_ramp`)."""
+    for name, val in (("phi", phi), ("varphi", varphi), ("psi", psi)):
+        if (np.abs(val) > 1.0 + _COS_TOL).any():
+            raise ValueError(f"direction component {name}={val} outside [-1, 1]")
+    phi, varphi, psi = (np.asarray(a, dtype=float)[..., None] for a in (phi, varphi, psi))
+    return _planar_response(np.exp(row_ramp * phi * psi), np.exp(col_ramp * varphi * psi))
+
+
 def steering_vector(m_r: int, m_c: int, d_r: float, d_c: float, wavelength: float,
                     phi, varphi, psi) -> np.ndarray:
     """Planar-array response, length m_r*m_c, row factor first in the Kronecker order.
@@ -52,13 +67,7 @@ def steering_vector(m_r: int, m_c: int, d_r: float, d_c: float, wavelength: floa
     result is then (..., m_r*m_c), one response per direction. Every entry has
     magnitude 1.
     """
-    for name, val in (("phi", phi), ("varphi", varphi), ("psi", psi)):
-        if (np.abs(val) > 1.0 + _COS_TOL).any():
-            raise ValueError(f"direction component {name}={val} outside [-1, 1]")
-    phi, varphi, psi = (np.asarray(a, dtype=float)[..., None] for a in (phi, varphi, psi))
-    row = np.exp(-1j * 2.0 * np.pi * (d_r / wavelength) * np.arange(m_r) * phi * psi)
-    col = np.exp(-1j * 2.0 * np.pi * (d_c / wavelength) * np.arange(m_c) * varphi * psi)
-    return _planar_response(row, col)
+    return _steer(_ramp(m_r, d_r, wavelength), _ramp(m_c, d_c, wavelength), phi, varphi, psi)
 
 
 @dataclass(frozen=True)
@@ -93,17 +102,61 @@ class ChannelSet:
     direct: (..., K) complex UAV-GU scalars; uav_ris: (..., M) complex; ris_gu:
     (K, M) complex. The leading axes are those of the UAV positions, none for one
     position. ris_gu does not depend on the UAV position, so callers moving the
-    UAV may reuse it (see :func:`build_channel_set`).
+    UAV reuse it and its conjugate through :class:`InstanceTerms`.
     """
 
     direct: np.ndarray
     uav_ris: np.ndarray
     ris_gu: np.ndarray
+    ris_gu_conj: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.ris_gu_conj is None:
+            object.__setattr__(self, "ris_gu_conj", np.conj(self.ris_gu))
 
     @property
     def cascade(self) -> np.ndarray:
         """(..., K, M) reflected paths UAV -> element m -> GU k, before x and theta."""
-        return np.conj(self.ris_gu) * self.uav_ris[..., None, :]
+        return self.ris_gu_conj * self.uav_ris[..., None, :]
+
+    def effective(self, weights: np.ndarray) -> np.ndarray:
+        """(..., K) effective gains for element weights x*exp(j*theta) (see
+        :func:`reflection_weights`)."""
+        return self.direct + self.cascade @ weights
+
+
+@dataclass(frozen=True)
+class InstanceTerms:
+    """The parts of :func:`build_channel_set` that do not depend on the UAV position.
+
+    gus (K, 2) and ris (2,) are the positions; direct_mix (K,) is the Rician mix
+    sqrt(k/(k+1)) + sqrt(1/(k+1))*scatter.direct that the UAV-GU amplitude scales;
+    row_ramp (M_r,) and col_ramp (M_c,) are the UAV-side steering ramp prefixes;
+    ris_gu (K, M) is :func:`ris_gu_block`, checked finite once, and ris_gu_conj its
+    conjugate. Build them with :func:`instance_terms`, once per instance.
+    """
+
+    gus: np.ndarray
+    ris: np.ndarray
+    direct_mix: np.ndarray
+    row_ramp: np.ndarray
+    col_ramp: np.ndarray
+    ris_gu: np.ndarray
+    ris_gu_conj: np.ndarray
+
+
+def instance_terms(scn: Scenario, scatter: ScatteringDraw) -> InstanceTerms:
+    """Every UAV-position-independent term of the channels of (scn, scatter)."""
+    ris_gu = ris_gu_block(scn, scatter)
+    if not np.isfinite(ris_gu).all():
+        raise GeometryError("non-finite channel gain")
+    kap = scn.rician_ug
+    return InstanceTerms(
+        gus=scn.gu_array(), ris=np.asarray(scn.ris_position, dtype=float),
+        direct_mix=np.sqrt(kap / (kap + 1.0)) + np.sqrt(1.0 / (kap + 1.0)) * scatter.direct,
+        row_ramp=_ramp(scn.ris_rows, scn.row_spacing, scn.wavelength),
+        col_ramp=_ramp(scn.ris_cols, scn.col_spacing, scn.wavelength),
+        ris_gu=ris_gu, ris_gu_conj=np.conj(ris_gu))
 
 
 def channel_uav_gu(scn: Scenario, w_u, k: int, scatter: ScatteringDraw) -> complex:
@@ -124,8 +177,14 @@ def channel_uav_ris(scn: Scenario, w_u) -> np.ndarray:
 
     w_u is one horizontal position (2,) or a batch (..., 2); returns (..., M).
     """
-    w = np.asarray(w_u, dtype=float)
-    ris = np.asarray(scn.ris_position, dtype=float)
+    return _uav_ris(scn, np.asarray(w_u, dtype=float), np.asarray(scn.ris_position, dtype=float),
+                    _ramp(scn.ris_rows, scn.row_spacing, scn.wavelength),
+                    _ramp(scn.ris_cols, scn.col_spacing, scn.wavelength))
+
+
+def _uav_ris(scn: Scenario, w: np.ndarray, ris: np.ndarray, row_ramp: np.ndarray,
+             col_ramp: np.ndarray) -> np.ndarray:
+    """channel_uav_ris from the RIS position and the steering ramp prefixes."""
     d_h = ris - w
     # A dot product per position: the same bits as np.linalg.norm of one vector.
     hnorm = np.sqrt((d_h[..., None, :] @ d_h[..., :, None])[..., 0, 0])
@@ -135,41 +194,33 @@ def channel_uav_ris(scn: Scenario, w_u) -> np.ndarray:
     phi = (w[..., 1] - ris[1]) / hnorm
     varphi = d_h[..., 0] / hnorm
     psi = (scn.uav_altitude - scn.ris_altitude) / d
-    sv = steering_vector(scn.ris_rows, scn.ris_cols, scn.row_spacing, scn.col_spacing,
-                         scn.wavelength, phi, varphi, psi)
+    sv = _steer(row_ramp, col_ramp, phi, varphi, psi)
     return (np.sqrt(scn.ref_path_loss) / d)[..., None] * sv
 
 
 def build_channel_set(scn: Scenario, w_u, scatter: ScatteringDraw,
-                      ris_gu: np.ndarray | None = None) -> ChannelSet:
+                      terms: InstanceTerms | None = None) -> ChannelSet:
     """All gains for one UAV position (2,) or a batch of them (..., 2), vectorized over GUs.
 
-    Pass a previously computed ``ris_gu`` block to skip recomputing the only part
-    that does not depend on w_u. Agrees with the per-link functions entrywise, and
-    each position of a batch gets the same bits as it would alone.
+    Pass the instance's :func:`instance_terms` to skip recomputing everything
+    that does not depend on w_u; without them they are built here. Agrees with
+    the per-link functions entrywise, and each position of a batch gets the
+    same bits as it would alone.
     """
-    gus = scn.gu_array()
+    t = instance_terms(scn, scatter) if terms is None else terms
     w = np.asarray(w_u, dtype=float)
 
-    dvec = gus - w[..., None, :]
-    d_ug = np.sqrt(np.sum(dvec ** 2, axis=-1) + scn.uav_altitude ** 2)
+    dvec = t.gus - w[..., None, :]
+    d_ug = np.sqrt((dvec ** 2).sum(axis=-1) + scn.uav_altitude ** 2)
     if (d_ug == 0.0).any():
         raise GeometryError("UAV coincides with a GU")
-    amp_ug = np.sqrt(scn.ref_path_loss / d_ug ** scn.pathloss_exp_ug)
-    kap = scn.rician_ug
-    direct = amp_ug * (np.sqrt(kap / (kap + 1.0))
-                       + np.sqrt(1.0 / (kap + 1.0)) * scatter.direct)
-
-    uav_ris = channel_uav_ris(scn, w)
-
-    if ris_gu is None:
-        ris_gu = ris_gu_block(scn, scatter)
-
-    cs = ChannelSet(direct=direct, uav_ris=uav_ris, ris_gu=ris_gu)
-    if not (np.isfinite(cs.direct).all() and np.isfinite(cs.uav_ris).all()
-            and np.isfinite(cs.ris_gu).all()):
+    direct = np.sqrt(scn.ref_path_loss / d_ug ** scn.pathloss_exp_ug) * t.direct_mix
+    uav_ris = _uav_ris(scn, w, t.ris, t.row_ramp, t.col_ramp)
+    # ris_gu was checked once, in instance_terms.
+    if not (np.isfinite(direct).all() and np.isfinite(uav_ris).all()):
         raise GeometryError("non-finite channel gain")
-    return cs
+    return ChannelSet(direct=direct, uav_ris=uav_ris, ris_gu=t.ris_gu,
+                      ris_gu_conj=t.ris_gu_conj)
 
 
 def ris_gu_block(scn: Scenario, scatter: ScatteringDraw) -> np.ndarray:
@@ -197,7 +248,11 @@ def ris_gu_block(scn: Scenario, scatter: ScatteringDraw) -> np.ndarray:
                            + np.sqrt(1.0 / (kap + 1.0)) * scatter.ris_gu)
 
 
+def reflection_weights(theta, x) -> np.ndarray:
+    """(M,) element weights x*exp(j*theta) that multiply the cascade."""
+    return np.asarray(x, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
+
+
 def effective_channels(chans: ChannelSet, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(..., K) effective gains for every GU and every UAV position of chans."""
-    weights = np.asarray(x, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
-    return chans.direct + chans.cascade @ weights
+    return chans.effective(reflection_weights(theta, x))

@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,6 +233,20 @@ def _cells(spec: ExperimentSpec, base: Scenario):
             for scheme in schemes for value in values for seed in spec.seeds]
 
 
+def _check_rate_floors(spec: ExperimentSpec, base: Scenario) -> None:
+    """Reject a min_rate that no decision can meet at the largest K the spec runs.
+
+    A GU's floor needs p_k >= (1 - 2^(-min_rate/B)) * (S + N/g_k) of the total
+    transmit power S, so the floors of K GUs sum to more than S once
+    K * (1 - 2^(-min_rate/B)) >= 1, whatever the gains. That is
+    min_rate/B >= log2(K/(K-1)), which no floor reaches at K = 1.
+    """
+    k = max(_cell_dims(spec, base, value)[0] for _, value, _ in _cells(spec, base))
+    if k > 1 and base.min_rate / base.bandwidth >= np.log2(k / (k - 1)):
+        raise ValueError(f"min_rate {base.min_rate:g} bit/s cannot be met by all K={k} GUs: "
+                         f"K * (1 - 2^(-min_rate/bandwidth)) >= 1")
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every cell of the experiment spec; failed cells are logged and skipped.
 
@@ -245,6 +258,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """
     validate_spec(spec)
     base = resolve_base_scenario(spec)
+    _check_rate_floors(spec, base)
     cells = _cells(spec, base)
 
     rows: list[ExperimentRow] = []
@@ -263,6 +277,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         digests[key] = digest
 
     if spec.workers > 1 and len(cells) > 1:
+        # Imported here: it loads multiprocessing, which a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             futures = [pool.submit(run_cell, spec, base, *cell) for cell in cells]
             for cell, fut in zip(cells, futures):

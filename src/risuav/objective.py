@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, ScatteringDraw, build_channel_set, effective_channels, ris_gu_block
+from .channel import (ChannelSet, ScatteringDraw, build_channel_set, effective_channels,
+                      instance_terms, reflection_weights)
 from .scenario import Scenario, hover_power  # noqa: F401  (hover_power is re-exported)
 
 # The summed relative rate deficit is scaled by this weight in the penalty divisor.
@@ -125,10 +126,14 @@ def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
                             total_power=float(p_total), eta=float(eta))
 
 
-def _fitness_core(c_eff, powers, onoff_total, scn: Scenario) -> np.ndarray:
-    """Penalized fitness from effective channels, broadcast over leading axes."""
-    rates, _, eta = evaluate_efficiency(np.abs(c_eff) ** 2, powers, onoff_total, scn)
-    if scn.min_rate > 0:
+def _fitness_core(gain, powers, onoff_total, scn: Scenario) -> np.ndarray:
+    """Penalized fitness from gains |C|^2, broadcast over leading axes.
+
+    With no rate under the floor every deficit term is +0.0 (NaN for a NaN
+    rate), so the penalty would keep eta; it is skipped.
+    """
+    rates, _, eta = evaluate_efficiency(gain, powers, onoff_total, scn)
+    if scn.min_rate > 0 and (rates < scn.min_rate).any():
         deficit = np.maximum((scn.min_rate - rates) / scn.min_rate, 0.0).sum(axis=-1)
         eta = np.where(deficit > 0.0, eta / (1.0 + RATE_PENALTY_WEIGHT * deficit), eta)
     return np.maximum(eta, FITNESS_FLOOR)
@@ -143,8 +148,8 @@ def penalized_fitness(solution: SolutionState, scatter: ScatteringDraw, scn: Sce
     """
     if chans is None:
         chans = build_channel_set(scn, solution.uav_pos, scatter)
-    c_eff = effective_channels(chans, solution.phases, solution.onoff)
-    return float(_fitness_core(c_eff, solution.powers, float(np.sum(solution.onoff)), scn))
+    gain = np.abs(effective_channels(chans, solution.phases, solution.onoff)) ** 2
+    return float(_fitness_core(gain, solution.powers, float(np.sum(solution.onoff)), scn))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +169,7 @@ def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray):
         g = np.atleast_2d(np.asarray(genomes, dtype=float))
         theta, powers = g[:, :m], g[:, m:]
         c_eff = chans.direct[None, :] + np.exp(1j * theta) @ coeff.T
-        return _fitness_core(c_eff, powers, active, scn)
+        return _fitness_core(np.abs(c_eff) ** 2, powers, active, scn)
 
     return fitness
 
@@ -172,12 +177,12 @@ def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray):
 def power_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
                   onoff: np.ndarray):
     """Fitness over P genomes with theta, X, and the UAV position all fixed."""
-    c_eff = effective_channels(chans, theta, onoff)
+    gain = np.abs(effective_channels(chans, theta, onoff))[None, :] ** 2
     active = float(np.sum(onoff))
 
     def fitness(powers: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(np.asarray(powers, dtype=float))
-        return _fitness_core(c_eff[None, :], p, active, scn)
+        return _fitness_core(gain, p, active, scn)
 
     return fitness
 
@@ -195,7 +200,7 @@ def onoff_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
     def fitness(patterns: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(patterns, dtype=float))
         c_eff = chans.direct[None, :] + x @ coeff.T
-        return _fitness_core(c_eff, p[None, :], x.sum(axis=1), scn)
+        return _fitness_core(np.abs(c_eff) ** 2, p[None, :], x.sum(axis=1), scn)
 
     return fitness
 
@@ -205,18 +210,18 @@ def placement_objective(scn: Scenario, scatter: ScatteringDraw, onoff: np.ndarra
     """Objective over the UAV position with (X, theta, P) fixed.
 
     Returns f mapping one position (2,) to a float, or a batch (P, 2) to (P,)
-    values, each the same bits as that position scored alone. Caches the
-    UAV-independent RIS-GU block so each evaluation only rebuilds the direct
-    and UAV-RIS links, once for the whole batch.
+    values, each the same bits as that position scored alone. The instance
+    terms and the element weights are built once, so each evaluation only
+    rebuilds the direct and UAV-RIS links, once for the whole batch.
     """
-    cached = ris_gu_block(scn, scatter)
+    terms = instance_terms(scn, scatter)
+    weights = reflection_weights(theta, onoff)
     p = np.asarray(powers, dtype=float)
     active = float(np.sum(onoff))
 
     def objective(w_u: np.ndarray):
-        chans = build_channel_set(scn, w_u, scatter, ris_gu=cached)
-        c_eff = effective_channels(chans, theta, onoff)
-        values = _fitness_core(c_eff, p, active, scn)
+        chans = build_channel_set(scn, w_u, scatter, terms=terms)
+        values = _fitness_core(np.abs(chans.effective(weights)) ** 2, p, active, scn)
         return float(values) if values.ndim == 0 else values
 
     return objective

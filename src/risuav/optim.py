@@ -14,6 +14,7 @@ generation is feasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,9 +315,11 @@ def ga_binary_run(fitness, m: int, cfg: GaConfig, rng: np.random.Generator,
     return _ga_loop(fitness, pop, cfg, rng, crossover, mutate)
 
 
-def _stencil(w: np.ndarray, h: float) -> np.ndarray:
-    """Rows w, w + h*e_0, w - h*e_0, w + h*e_1, ...: a point and its central stencil."""
-    e = h * np.eye(w.size)
+def _stencil(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Rows w, w + h*e_0, w - h*e_0, w + h*e_1, ...: a point and its central stencil.
+
+    e is the offsets h*I, built once per run.
+    """
     rows = np.empty((2 * w.size + 1, w.size))
     rows[0] = w
     rows[1::2] = w + e
@@ -342,7 +345,7 @@ def finite_diff_gradient(f, w, h: float) -> np.ndarray:
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
     w = np.asarray(w, dtype=float)
-    values = np.array([float(f(x)) for x in _stencil(w, h)[1:]])
+    values = np.array([float(f(x)) for x in _stencil(w, h * np.eye(w.size))[1:]])
     return _stencil_gradient(values, w, h)
 
 
@@ -368,26 +371,32 @@ def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
         return values
 
     w = np.asarray(w0, dtype=float).copy()
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
+    e = cfg.fd_step * np.eye(w.size)
+    # The moments and the step run per coordinate in Python floats: the same
+    # correctly rounded operations, in the same order, as the array form.
+    m = [0.0] * w.size
+    v = [0.0] * w.size
 
-    values = evaluate(_stencil(w, cfg.fd_step))
+    values = evaluate(_stencil(w, e))
     f_cur = float(values[0])
     trace = [f_cur]
     best_w, best_f = w.copy(), f_cur
 
     for i in range(1, cfg.iters + 1):
-        g = _stencil_gradient(values[1:], w, cfg.fd_step)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** i)
-        v_hat = v / (1.0 - ADAM_BETA2 ** i)
-        w = w + cfg.step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g = _stencil_gradient(values[1:], w, cfg.fd_step).tolist()
+        c1 = 1.0 - ADAM_BETA1 ** i
+        c2 = 1.0 - ADAM_BETA2 ** i
+        w_next = w.tolist()
+        for j, g_j in enumerate(g):
+            m[j] = ADAM_BETA1 * m[j] + (1.0 - ADAM_BETA1) * g_j
+            v[j] = ADAM_BETA2 * v[j] + (1.0 - ADAM_BETA2) * g_j * g_j
+            w_next[j] += cfg.step * (m[j] / c1) / (math.sqrt(v[j] / c2) + ADAM_EPS)
+        w = np.array(w_next)
         # The last iterate needs no gradient, so it is scored alone.
-        values = evaluate(_stencil(w, cfg.fd_step) if i < cfg.iters else w[None, :])
+        values = evaluate(_stencil(w, e) if i < cfg.iters else w[None, :])
         f_cur = float(values[0])
         trace.append(f_cur)
         if f_cur > best_f:
-            best_w, best_f = w.copy(), f_cur
+            best_w, best_f = w, f_cur
 
     return best_w, np.asarray(trace)

@@ -16,8 +16,8 @@ import pytest
 
 from risuav.channel import (ChannelSet, GeometryError, ScatteringDraw,
                             build_channel_set, channel_uav_gu, channel_uav_ris,
-                            distance_3d, effective_channels, ris_gu_block,
-                            sample_scattering, steering_vector)
+                            distance_3d, effective_channels, instance_terms,
+                            ris_gu_block, sample_scattering, steering_vector)
 from risuav.scenario import RngStream, default_scenario, with_gu_positions
 
 D_UG = 74.33034373659252
@@ -225,9 +225,13 @@ def test_build_channel_set_matches_per_link_functions():
 def test_build_channel_set_reuses_cached_block():
     scn = with_gu_positions(default_scenario(), [(190.0, 20.0), (212.0, 35.0)])
     scatter = sample_scattering(RngStream(2, "scatter"), 2, 60)
-    cached = ris_gu_block(scn, scatter)
-    cs = build_channel_set(scn, UAV, scatter, ris_gu=cached)
-    assert cs.ris_gu is cached
+    terms = instance_terms(scn, scatter)
+    assert np.array_equal(terms.ris_gu, ris_gu_block(scn, scatter))
+    cs = build_channel_set(scn, UAV, scatter, terms=terms)
+    assert cs.ris_gu is terms.ris_gu and cs.ris_gu_conj is terms.ris_gu_conj
+    fresh = build_channel_set(scn, UAV, scatter)
+    for name in ("direct", "uav_ris", "ris_gu", "ris_gu_conj"):
+        assert np.array_equal(getattr(cs, name), getattr(fresh, name))
 
 
 def test_effective_channels_matches_scalar_composition():
@@ -303,9 +307,10 @@ def test_channel_uav_ris_batch_matches_per_point_loop(rows, cols):
 @pytest.mark.parametrize("rows,cols", [(1, 2), (6, 10), (12, 20)])
 def test_build_channel_set_batch_matches_per_point_loop(rows, cols):
     scn, scatter = batch_instance(rows, cols)
-    cached = ris_gu_block(scn, scatter)
+    terms = instance_terms(scn, scatter)
+    cached = terms.ris_gu
     w = uav_batch(40, seed=1)
-    batch = build_channel_set(scn, w, scatter, ris_gu=cached)
+    batch = build_channel_set(scn, w, scatter, terms=terms)
     assert batch.direct.shape == (len(w), scn.num_gus)
     assert batch.uav_ris.shape == (len(w), rows * cols)
     assert batch.ris_gu is cached
@@ -319,7 +324,7 @@ def test_build_channel_set_batch_matches_per_point_loop(rows, cols):
     c_square = effective_channels(build_channel_set(scn, w[:scn.num_gus], scatter), theta, x)
     assert np.array_equal(c_square, c_batch[:scn.num_gus])
     for i, point in enumerate(w):
-        one = build_channel_set(scn, point, scatter, ris_gu=cached)
+        one = build_channel_set(scn, point, scatter, terms=terms)
         assert np.array_equal(batch.direct[i], one.direct)
         assert np.array_equal(batch.uav_ris[i], one.uav_ris)
         assert np.array_equal(one.cascade, np.conj(cached) * one.uav_ris[None, :])

@@ -251,6 +251,36 @@ def test_bad_spec_values_fail_before_any_cell(tmp_path, capsys, args, field):
     assert not (tmp_path / "never").exists()
 
 
+def test_unmeetable_rate_floor_exits_2_and_writes_nothing(tmp_path, capsys):
+    # At B = 2e7 and min_rate 1e7, K * (1 - 2^(-min_rate/B)) is 0.88 at K=3, 1.17 at K=4.
+    for k in (3, 4):
+        spec_path = tmp_path / f"spec{k}.json"
+        spec_path.write_text(json.dumps(_tiny_spec(
+            scenario_inline={"num_gus": k, "ris_rows": 1, "ris_cols": 2, "min_rate": 1e7})),
+            encoding="utf-8")
+        argv = ["run", "--spec", str(spec_path), "--out", str(tmp_path / f"out{k}")]
+        if k == 3:
+            assert main(argv) == 0
+            assert (tmp_path / "out3" / "results.csv").is_file()
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "min_rate" in err and "K=4" in err
+        assert not (tmp_path / "out4").exists()
+
+
+def test_sweep_gus_rate_floor_checks_the_largest_k(tmp_path, capsys):
+    scenario = _scenario_file(tmp_path, "scn.json", {"min_rate": 1e7})
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-gus", "--m", "2", "--k", "2,4", "--seeds", "1", "--max-outer", "1",
+              "--scenario", str(scenario), "--out", str(tmp_path / "never")])
+    assert exc.value.code == 2
+    assert "min_rate" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def _scenario_file(tmp_path, name, fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields), encoding="utf-8")

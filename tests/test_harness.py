@@ -1,12 +1,14 @@
 """Experiment harness: pairing, sweeps, oracle enumeration, CSV and manifest."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from risuav import harness
-from risuav.channel import build_channel_set, effective_channels, ris_gu_block
+from risuav.channel import build_channel_set, effective_channels, instance_terms
 from risuav.harness import (ALL_SCHEMES, RESULT_HEADER, ExperimentResult,
                             ExperimentRow, ExperimentSpec, build_instance,
                             emit_csv, emit_traces, load_spec, near_square_factors,
@@ -183,6 +185,42 @@ def test_run_experiment_records_cell_errors():
         assert "RuntimeError" in msg
 
 
+# At B = 2e7, K * (1 - 2^(-1e7/B)) is 0.88 for K=3 and 1.17 for K=4.
+FLOOR_1E7 = {**TINY, "min_rate": 1e7}
+
+
+def test_run_experiment_rejects_rate_floors_no_decision_meets():
+    ok = run_experiment(tiny_spec(scenario_inline={**FLOOR_1E7, "num_gus": 3},
+                                  schemes=("no-ris",), seeds=(0,), max_outer_iters=1))
+    assert len(ok.rows) == 1 and ok.manifest["errors"] == {}
+    with pytest.raises(ValueError, match=r"min_rate 1e\+07 .*K=4"):
+        run_experiment(tiny_spec(scenario_inline={**FLOOR_1E7, "num_gus": 4},
+                                 schemes=("no-ris",), seeds=(0,), max_outer_iters=1))
+
+
+@pytest.mark.parametrize("fields, k", [
+    (dict(kind="single", scenario_inline={**FLOOR_1E7, "num_gus": 4}), 4),
+    (dict(kind="sweep-gus", sweep_values=(3, 4, 2), fixed_elements=2,
+          scenario_inline=FLOOR_1E7), 4),
+    (dict(kind="sweep-elements", sweep_values=(2,), fixed_gus=4, scenario_inline=FLOOR_1E7), 4),
+    (dict(kind="oracle", sweep_values=(1,), fixed_gus=2, theta_grid=2, placement_grid=2,
+          scenario_inline={**TINY, "min_rate": 2e7}), 2),
+])
+def test_rate_floor_check_uses_the_largest_k_each_kind_runs(fields, k):
+    with pytest.raises(ValueError, match=f"min_rate .*K={k} "):
+        run_experiment(tiny_spec(**fields))
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # Only a run with workers > 1 needs the process pool and what it loads.
+    code = ("import sys, risuav, risuav.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_run_experiment_deterministic_and_worker_invariant():
     a = run_experiment(tiny_spec())
     b = run_experiment(tiny_spec())
@@ -266,14 +304,14 @@ def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed, power_grid=16
     phase_factors = np.exp(1j * thetas)
     scales = np.array([1.0]) if k == 1 else np.linspace(1.0 / power_grid, 1.0, power_grid)
     p_split = np.full(k, inst.max_power / k)
-    cached = ris_gu_block(inst, scatter)
+    terms = instance_terms(inst, scatter)
     best_eta, best, n_ok, n_bad = -np.inf, None, 0, 0
     for wx in np.linspace(175.0, 225.0, placement_grid):
         for wy in np.linspace(0.0, 50.0, placement_grid):
             w = np.array([wx, wy])
             if np.hypot(wx - inst.ris_position[0], wy - inst.ris_position[1]) < 1.0e-9:
                 continue
-            chans = build_channel_set(inst, w, scatter, ris_gu=cached)
+            chans = build_channel_set(inst, w, scatter, terms=terms)
             v = np.conj(chans.ris_gu) * chans.uav_ris[None, :]
             for pat in patterns:
                 c_eff = chans.direct[None, :] + (phase_factors * pat[None, :]) @ v.T

@@ -16,13 +16,15 @@ import numpy as np
 import pytest
 
 from risuav.channel import (GeometryError, ScatteringDraw, build_channel_set,
-                            effective_channels, sample_scattering)
-from risuav.objective import (FITNESS_FLOOR, SolutionState, check_constraints,
+                            effective_channels, ris_gu_block, sample_scattering)
+from risuav.objective import (FITNESS_FLOOR, RATE_PENALTY_WEIGHT, SolutionState,
+                              _fitness_core, check_constraints,
                               energy_efficiency, evaluate_efficiency, hover_power,
                               onoff_fitness, penalized_fitness, per_gu_rates,
                               phase_power_fitness, placement_objective, power_fitness,
                               total_power, validate_solution)
-from risuav.scenario import RngStream, default_scenario, with_gu_positions
+from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
+                             with_gu_positions)
 
 HOVER_DEFAULT = 78.19268695868081
 
@@ -374,3 +376,115 @@ def test_placement_objective_batch_over_the_ris_raises():
     w = np.array([[200.0, 50.0], list(scn.ris_position), [210.0, 10.0]])
     with pytest.raises(GeometryError):
         objective(w)
+
+
+# ---------------------------------------------------------------------------
+# Byte-level references: the placement closure and the fitness tail as they
+# were before the position-independent terms were hoisted.
+# ---------------------------------------------------------------------------
+
+def ref_fitness_tail(gain, powers, onoff_total, scn):
+    """The penalized fitness with the penalty block always evaluated."""
+    rates, _, eta = evaluate_efficiency(gain, powers, onoff_total, scn)
+    if scn.min_rate > 0:
+        deficit = np.maximum((scn.min_rate - rates) / scn.min_rate, 0.0).sum(axis=-1)
+        eta = np.where(deficit > 0.0, eta / (1.0 + RATE_PENALTY_WEIGHT * deficit), eta)
+    return np.maximum(eta, FITNESS_FLOOR)
+
+
+def ref_placement_objective(scn, scatter, onoff, theta, powers):
+    """Every channel term rebuilt per call: the ramp prefix inside the
+    exponent, the Rician mix, np.conj of the RIS-GU block and the weights."""
+    ris_gu = ris_gu_block(scn, scatter)
+    p = np.asarray(powers, dtype=float)
+    active = float(np.sum(onoff))
+
+    def objective(w_u):
+        w = np.asarray(w_u, dtype=float)
+        dvec = scn.gu_array() - w[..., None, :]
+        d_ug = np.sqrt(np.sum(dvec ** 2, axis=-1) + scn.uav_altitude ** 2)
+        kap = scn.rician_ug
+        direct = np.sqrt(scn.ref_path_loss / d_ug ** scn.pathloss_exp_ug) * (
+            np.sqrt(kap / (kap + 1.0)) + np.sqrt(1.0 / (kap + 1.0)) * scatter.direct)
+        ris = np.asarray(scn.ris_position, dtype=float)
+        d_h = ris - w
+        hnorm = np.sqrt((d_h[..., None, :] @ d_h[..., :, None])[..., 0, 0])
+        d = np.hypot(hnorm, scn.uav_altitude - scn.ris_altitude)
+        phi = ((w[..., 1] - ris[1]) / hnorm)[..., None]
+        varphi = (d_h[..., 0] / hnorm)[..., None]
+        psi = ((scn.uav_altitude - scn.ris_altitude) / d)[..., None]
+        row = np.exp(-1j * 2.0 * np.pi * (scn.row_spacing / scn.wavelength)
+                     * np.arange(scn.ris_rows) * phi * psi)
+        col = np.exp(-1j * 2.0 * np.pi * (scn.col_spacing / scn.wavelength)
+                     * np.arange(scn.ris_cols) * varphi * psi)
+        sv = (row[..., :, None] * col[..., None, :]).reshape(row.shape[:-1] + (-1,))
+        uav_ris = (np.sqrt(scn.ref_path_loss) / d)[..., None] * sv
+        weights = np.asarray(onoff, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
+        c_eff = direct + (np.conj(ris_gu) * uav_ris[..., None, :]) @ weights
+        values = ref_fitness_tail(np.abs(c_eff) ** 2, p, active, scn)
+        return float(values) if values.ndim == 0 else values
+
+    return objective
+
+
+def same_bits(a, b):
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# (K, rows, cols, a min_rate under which part of the positions fall)
+BYTE_CASES = [(1, 1, 2, 1.3e7), (4, 6, 10, 2.0e5), (8, 12, 20, 7.0e5)]
+
+
+@pytest.mark.parametrize("binding", [False, True])
+@pytest.mark.parametrize("k,rows,cols,floor", BYTE_CASES)
+def test_placement_objective_matches_reference_bit_for_bit(k, rows, cols, floor, binding):
+    scn = dataclasses.replace(
+        with_gu_positions(default_scenario(),
+                          sample_gu_positions(RngStream(k, "gu-positions"), k)),
+        ris_rows=rows, ris_cols=cols)
+    if binding:
+        scn = dataclasses.replace(scn, min_rate=floor)
+    scatter = sample_scattering(RngStream(k, "scatter"), k, rows * cols)
+    sol = solved_state(scn, rng_seed=k)
+    args = (scn, scatter, sol.onoff, sol.phases, sol.powers)
+    new, ref = placement_objective(*args), ref_placement_objective(*args)
+    rng = np.random.default_rng(rows * cols)
+    w = np.column_stack([rng.uniform(150.0, 250.0, 200), rng.uniform(-40.0, 90.0, 200)])
+    batch = new(w)
+    assert same_bits(batch, ref(w))
+    # The binding floor penalizes some positions and not others; the default
+    # floor penalizes none, so only the skip path runs.
+    plain = placement_objective(dataclasses.replace(scn, min_rate=0.0), *args[1:])(w)
+    penalized = batch < plain
+    assert (penalized.any() and not penalized.all()) if binding else not penalized.any()
+    for point in w:
+        one = new(point)
+        assert type(one) is float
+        assert same_bits(one, ref(point))
+
+
+@pytest.mark.parametrize("case", ["none-under", "one-at-floor", "one-row-under", "nan-row"])
+def test_fitness_core_matches_reference_tail(case):
+    scn = default_scenario()
+    rng = np.random.default_rng(3)
+    gain = rng.uniform(1.0e-9, 1.0e-8, (50, 4))
+    powers = rng.uniform(0.1, 0.25, (50, 4))
+    rates = per_gu_rates(gain, powers, scn.bandwidth, scn.noise_power)
+    row_min = rates.min(axis=1)
+    if case == "one-at-floor":
+        scn = dataclasses.replace(scn, min_rate=float(row_min.min()))
+    elif case == "one-row-under":
+        # The lowest row is under; the next lowest sits exactly on the floor.
+        scn = dataclasses.replace(scn, min_rate=float(np.sort(row_min)[1]))
+    elif case == "nan-row":
+        gain[7] = np.nan
+    got = _fitness_core(gain, powers, 60.0, scn)
+    assert same_bits(got, ref_fitness_tail(gain, powers, 60.0, scn))
+    eta = evaluate_efficiency(gain, powers, 60.0, scn)[2]
+    n_penalized = int((got < eta).sum())
+    assert n_penalized == (1 if case == "one-row-under" else 0)
+    if case == "nan-row":
+        assert np.isnan(got[7]) and np.isfinite(np.delete(got, 7)).all()
+    if case == "one-at-floor":
+        assert (rates == scn.min_rate).sum() == 1
