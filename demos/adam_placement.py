@@ -17,14 +17,15 @@ from risuav.objective import placement_objective
 from risuav.optim import AdamConfig, adam_maximize
 from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
                              with_gu_positions)
-from risuav.channel import sample_scattering
+from risuav.channel import instance_terms, sample_scattering
 
 scn = with_gu_positions(default_scenario(),
                         sample_gu_positions(RngStream(2, "gu-positions"), 4))
 scatter = sample_scattering(RngStream(2, "scatter"), scn.num_gus, scn.num_elements)
 
 sol = initial_solution(scn, BcdConfig().power_floor)
-field = placement_objective(scn, scatter, sol.onoff, sol.phases, sol.powers)
+field = placement_objective(scn, instance_terms(scn, scatter), sol.onoff, sol.phases,
+                            sol.powers)
 
 centroid = scn.gu_array().mean(axis=0)
 start = np.array([150.0, 90.0])

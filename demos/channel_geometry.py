@@ -10,7 +10,7 @@ element phases are aligned versus left at zero.
 import numpy as np
 
 from risuav.channel import (build_channel_set, distance_3d, effective_channels,
-                            sample_scattering)
+                            instance_terms, sample_scattering)
 from risuav.scenario import RngStream, default_scenario, with_gu_positions
 
 scn = with_gu_positions(default_scenario(), [(200.0, 25.0)])
@@ -24,9 +24,10 @@ print(f"  UAV to user      {d_ug:8.3f} m")
 print(f"  UAV to surface   {d_ur:8.3f} m")
 print(f"  surface to user  {d_rg:8.3f} m")
 
-# One scattering draw fixes the random part of both Rician links.
+# One scattering draw fixes the random part of both Rician links. The terms
+# that do not depend on the UAV position are built once from it.
 scatter = sample_scattering(RngStream(0, "scatter"), scn.num_gus, scn.num_elements)
-chans = build_channel_set(scn, uav, scatter)
+chans = build_channel_set(scn, uav, instance_terms(scn, scatter))
 
 print("\nper-link magnitudes")
 print(f"  direct |h_ug|           {abs(chans.direct[0]):.4e}")

@@ -11,7 +11,8 @@ import dataclasses
 
 import numpy as np
 
-from risuav.channel import build_channel_set, effective_channels, sample_scattering
+from risuav.channel import (build_channel_set, effective_channels, instance_terms,
+                            sample_scattering)
 from risuav.objective import (SolutionState, check_constraints, energy_efficiency,
                               hover_power, penalized_fitness, per_gu_rates,
                               total_power)
@@ -35,7 +36,7 @@ sol = SolutionState(onoff=np.ones(scn.num_elements),
                     phases=np.zeros(scn.num_elements),
                     powers=np.full(scn.num_gus, scn.max_power / scn.num_gus),
                     uav_pos=np.array(scn.uav_initial_position))
-chans = build_channel_set(scn, sol.uav_pos, scatter)
+chans = build_channel_set(scn, sol.uav_pos, instance_terms(scn, scatter))
 c_eff = effective_channels(chans, sol.phases, sol.onoff)
 # Rates depend on the channels only through the gains |C_k|^2.
 rates = per_gu_rates(np.abs(c_eff) ** 2, sol.powers, scn.bandwidth, scn.noise_power)

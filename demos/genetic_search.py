@@ -9,7 +9,7 @@ across generations, so their traces never move backward.
 
 import numpy as np
 
-from risuav.channel import build_channel_set, sample_scattering
+from risuav.channel import build_channel_set, instance_terms, sample_scattering
 from risuav.objective import onoff_fitness, phase_power_fitness
 from risuav.optim import GaConfig, ga_binary_run, ga_continuous_run
 from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
@@ -18,7 +18,8 @@ from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
 scn = with_gu_positions(default_scenario(),
                         sample_gu_positions(RngStream(1, "gu-positions"), 4))
 scatter = sample_scattering(RngStream(1, "scatter"), scn.num_gus, scn.num_elements)
-chans = build_channel_set(scn, np.array(scn.uav_initial_position), scatter)
+chans = build_channel_set(scn, np.array(scn.uav_initial_position),
+                          instance_terms(scn, scatter))
 m, k = scn.num_elements, scn.num_gus
 
 # Continuous search over phases and powers with every element on.

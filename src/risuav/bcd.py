@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import GeometryError, ScatteringDraw, build_channel_set, instance_terms
-from .objective import (ConstraintReport, SolutionState, check_constraints, onoff_fitness,
+from .objective import (ConstraintReport, SolutionState, constraint_report, onoff_fitness,
                         penalized_fitness, phase_power_fitness, placement_objective,
                         power_fitness, validate_solution)
 from .optim import (POWER_FLOOR, AdamConfig, GaConfig, adam_maximize, ga_binary_run,
@@ -83,14 +83,14 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
     terms = instance_terms(scn, scatter)
 
     def score(s: SolutionState) -> float:
-        chans = build_channel_set(scn, s.uav_pos, scatter, terms=terms)
+        chans = build_channel_set(scn, s.uav_pos, terms)
         return penalized_fitness(s, scatter, scn, chans=chans)
 
     cur = score(sol)
     trace = [cur]
 
     for it in range(1, cfg.max_outer_iters + 1):
-        chans = build_channel_set(scn, sol.uav_pos, scatter, terms=terms)
+        chans = build_channel_set(scn, sol.uav_pos, terms)
 
         # (a) phases and powers jointly, or powers alone when phases are frozen.
         # The incumbent genome seeds the population so passes refine, not restart.
@@ -128,7 +128,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
 
         # (c) UAV placement. A stencil point with undefined or non-finite
         # channels ends the climb as a rejected proposal: the UAV stays put.
-        objective = placement_objective(scn, scatter, sol.onoff, sol.phases, sol.powers)
+        objective = placement_objective(scn, terms, sol.onoff, sol.phases, sol.powers)
         try:
             w_best, _ = adam_maximize(objective, sol.uav_pos, cfg.adam_cfg, vectorized=True)
         except (GeometryError, FloatingPointError):
@@ -147,7 +147,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
 
     return BcdResult(best=sol, eta_trace=np.asarray(trace),
                      outer_iters_used=len(trace) - 1,
-                     constraint_report=check_constraints(sol, scatter, scn),
+                     constraint_report=constraint_report(sol, terms, scn),
                      wall_time=time.perf_counter() - t0)
 
 

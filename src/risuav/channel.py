@@ -13,7 +13,7 @@ determinism is what makes finite-difference placement gradients meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,19 +100,15 @@ class ChannelSet:
     """All channel gains for one UAV position, or for a batch of them.
 
     direct: (..., K) complex UAV-GU scalars; uav_ris: (..., M) complex; ris_gu:
-    (K, M) complex. The leading axes are those of the UAV positions, none for one
-    position. ris_gu does not depend on the UAV position, so callers moving the
-    UAV reuse it and its conjugate through :class:`InstanceTerms`.
+    (K, M) complex and ris_gu_conj its conjugate. The leading axes are those of
+    the UAV positions, none for one position. ris_gu does not depend on the UAV
+    position; both blocks come from the instance's :class:`InstanceTerms`.
     """
 
     direct: np.ndarray
     uav_ris: np.ndarray
     ris_gu: np.ndarray
-    ris_gu_conj: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.ris_gu_conj is None:
-            object.__setattr__(self, "ris_gu_conj", np.conj(self.ris_gu))
+    ris_gu_conj: np.ndarray
 
     @property
     def cascade(self) -> np.ndarray:
@@ -133,7 +129,7 @@ class InstanceTerms:
     sqrt(k/(k+1)) + sqrt(1/(k+1))*scatter.direct that the UAV-GU amplitude scales;
     row_ramp (M_r,) and col_ramp (M_c,) are the UAV-side steering ramp prefixes;
     ris_gu (K, M) is :func:`ris_gu_block`, checked finite once, and ris_gu_conj its
-    conjugate. Build them with :func:`instance_terms`, once per instance.
+    conjugate, taken nowhere else. Build them with :func:`instance_terms`, once per run.
     """
 
     gus: np.ndarray
@@ -198,29 +194,27 @@ def _uav_ris(scn: Scenario, w: np.ndarray, ris: np.ndarray, row_ramp: np.ndarray
     return (np.sqrt(scn.ref_path_loss) / d)[..., None] * sv
 
 
-def build_channel_set(scn: Scenario, w_u, scatter: ScatteringDraw,
-                      terms: InstanceTerms | None = None) -> ChannelSet:
+def build_channel_set(scn: Scenario, w_u, terms: InstanceTerms) -> ChannelSet:
     """All gains for one UAV position (2,) or a batch of them (..., 2), vectorized over GUs.
 
-    Pass the instance's :func:`instance_terms` to skip recomputing everything
-    that does not depend on w_u; without them they are built here. Agrees with
-    the per-link functions entrywise, and each position of a batch gets the
-    same bits as it would alone.
+    terms is the instance's :func:`instance_terms`, built once per run; only
+    the links that depend on w_u are built here. Agrees with the per-link
+    functions entrywise, and each position of a batch gets the same bits as it
+    would alone.
     """
-    t = instance_terms(scn, scatter) if terms is None else terms
     w = np.asarray(w_u, dtype=float)
 
-    dvec = t.gus - w[..., None, :]
+    dvec = terms.gus - w[..., None, :]
     d_ug = np.sqrt((dvec ** 2).sum(axis=-1) + scn.uav_altitude ** 2)
     if (d_ug == 0.0).any():
         raise GeometryError("UAV coincides with a GU")
-    direct = np.sqrt(scn.ref_path_loss / d_ug ** scn.pathloss_exp_ug) * t.direct_mix
-    uav_ris = _uav_ris(scn, w, t.ris, t.row_ramp, t.col_ramp)
+    direct = np.sqrt(scn.ref_path_loss / d_ug ** scn.pathloss_exp_ug) * terms.direct_mix
+    uav_ris = _uav_ris(scn, w, terms.ris, terms.row_ramp, terms.col_ramp)
     # ris_gu was checked once, in instance_terms.
     if not (np.isfinite(direct).all() and np.isfinite(uav_ris).all()):
         raise GeometryError("non-finite channel gain")
-    return ChannelSet(direct=direct, uav_ris=uav_ris, ris_gu=t.ris_gu,
-                      ris_gu_conj=t.ris_gu_conj)
+    return ChannelSet(direct=direct, uav_ris=uav_ris, ris_gu=terms.ris_gu,
+                      ris_gu_conj=terms.ris_gu_conj)
 
 
 def ris_gu_block(scn: Scenario, scatter: ScatteringDraw) -> np.ndarray:

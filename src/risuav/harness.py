@@ -25,7 +25,7 @@ import numpy as np
 from ._version import __version__
 from .bcd import (BcdConfig, BcdResult, baseline_no_ris, baseline_random_phase,
                   initial_solution, optimize)
-from .channel import build_channel_set, sample_scattering
+from .channel import build_channel_set, instance_terms, sample_scattering
 from .objective import SolutionState, check_constraints, evaluate_efficiency
 from .scenario import (RngStream, Scenario, default_scenario, load_scenario,
                        sample_gu_positions, scenario_from_dict, scenario_to_dict,
@@ -41,7 +41,7 @@ KINDS = ("single", "sweep-gus", "sweep-elements", "oracle")
 RESULT_HEADER = ("scheme,sweep_value,seed,eta_bits_per_joule,sum_rate_bps,"
                  "total_power_w,outer_iters,wall_time_s")
 
-# Oracle defaults: placement box covering the GU disk, the RIS foot point, and
+# Oracle lattice: placement box covering the GU disk, the RIS foot point, and
 # the initial UAV position; power line-search resolution for K >= 2.
 ORACLE_PLACEMENT_BOX = ((175.0, 225.0), (0.0, 50.0))
 ORACLE_POWER_GRID = 16
@@ -318,19 +318,17 @@ def _oracle_enumeration(m: int, theta_grid: int, placement_grid: int) -> int:
 
 
 def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
-               scn: Scenario | None = None, seed: int = 0,
-               power_grid: int = ORACLE_POWER_GRID,
-               placement_box=ORACLE_PLACEMENT_BOX):
+               scn: Scenario | None = None, seed: int = 0):
     """Exhaustive discretized optimum for tiny instances.
 
     Enumerates every on-off pattern, every per-element phase from a uniform grid
     of theta_grid levels, and every UAV position on a placement_grid^2 lattice
-    over placement_box. Powers use full P_max when k=1, otherwise a line search
-    over uniform-split scalings. m=0 degenerates to a no-RIS search (a single
-    all-off element). Returns (best eta, best SolutionState). The instance is
-    derived from (scn, seed) exactly as the experiment cells derive theirs, so
-    oracle and solver runs pair up. Ties go to the first (position, pattern,
-    scale, phase row) in enumeration order.
+    over ORACLE_PLACEMENT_BOX. Powers use full P_max when k=1, otherwise a line
+    search over ORACLE_POWER_GRID uniform-split scalings. m=0 degenerates to a
+    no-RIS search (a single all-off element). Returns (best eta, best
+    SolutionState). The instance is derived from (scn, seed) exactly as the
+    experiment cells derive theirs, so oracle and solver runs pair up. Ties go
+    to the first (position, pattern, scale, phase row) in enumeration order.
 
     Phase rows that differ only where the pattern is off give the same channels
     bit for bit, so each pattern scores only its distinct rows, theta_grid^n_on
@@ -348,7 +346,7 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
         raise ValueError(f"oracle supports m in [0, {ORACLE_MAX_ELEMENTS}], got {m}")
     if not 1 <= k <= ORACLE_MAX_GUS:
         raise ValueError(f"oracle supports k in [1, {ORACLE_MAX_GUS}], got {k}")
-    if theta_grid < 1 or placement_grid < 1 or power_grid < 1:
+    if theta_grid < 1 or placement_grid < 1:
         raise ValueError("grid sizes must be >= 1")
     n_combos = _oracle_enumeration(m, theta_grid, placement_grid)
     if n_combos > _MAX_ENUMERATION:
@@ -376,10 +374,10 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     if k == 1:
         scales = np.array([1.0])
     else:
-        scales = np.linspace(1.0 / power_grid, 1.0, power_grid)
+        scales = np.linspace(1.0 / ORACLE_POWER_GRID, 1.0, ORACLE_POWER_GRID)
     powers = scales[:, None] * np.full(k, inst.max_power / k)  # (S, k)
 
-    (x_lo, x_hi), (y_lo, y_hi) = placement_box
+    (x_lo, x_hi), (y_lo, y_hi) = ORACLE_PLACEMENT_BOX
     xs = np.linspace(x_lo, x_hi, placement_grid)
     ys = np.linspace(y_lo, y_hi, placement_grid)
     lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -390,7 +388,7 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     if len(lattice) == 0:
         raise RuntimeError("every point of the oracle's placement lattice is above the RIS")
 
-    chans = build_channel_set(inst, lattice, scatter)
+    chans = build_channel_set(inst, lattice, instance_terms(inst, scatter))
 
     best_eta = -np.inf
     best = None

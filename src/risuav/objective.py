@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelSet, ScatteringDraw, build_channel_set, effective_channels,
-                      instance_terms, reflection_weights)
+from .channel import (ChannelSet, InstanceTerms, ScatteringDraw, build_channel_set,
+                      effective_channels, instance_terms, reflection_weights)
 from .scenario import Scenario, hover_power  # noqa: F401  (hover_power is re-exported)
 
 # The summed relative rate deficit is scaled by this weight in the penalty divisor.
@@ -112,7 +112,13 @@ def energy_efficiency(solution: SolutionState, scatter: ScatteringDraw,
 
 def check_constraints(solution: SolutionState, scatter: ScatteringDraw,
                       scn: Scenario) -> ConstraintReport:
-    chans = build_channel_set(scn, solution.uav_pos, scatter)
+    return constraint_report(solution, instance_terms(scn, scatter), scn)
+
+
+def constraint_report(solution: SolutionState, terms: InstanceTerms,
+                      scn: Scenario) -> ConstraintReport:
+    """:func:`check_constraints` from the instance's prebuilt :func:`instance_terms`."""
+    chans = build_channel_set(scn, solution.uav_pos, terms)
     gain = np.abs(effective_channels(chans, solution.phases, solution.onoff)) ** 2
     rates, p_total, eta = evaluate_efficiency(gain, solution.powers, np.sum(solution.onoff), scn)
     rate_ok = rates >= scn.min_rate
@@ -147,7 +153,7 @@ def penalized_fitness(solution: SolutionState, scatter: ScatteringDraw, scn: Sce
     A prebuilt ChannelSet for solution.uav_pos may be passed to skip channel work.
     """
     if chans is None:
-        chans = build_channel_set(scn, solution.uav_pos, scatter)
+        chans = build_channel_set(scn, solution.uav_pos, instance_terms(scn, scatter))
     gain = np.abs(effective_channels(chans, solution.phases, solution.onoff)) ** 2
     return float(_fitness_core(gain, solution.powers, float(np.sum(solution.onoff)), scn))
 
@@ -205,22 +211,22 @@ def onoff_fitness(scn: Scenario, chans: ChannelSet, theta: np.ndarray,
     return fitness
 
 
-def placement_objective(scn: Scenario, scatter: ScatteringDraw, onoff: np.ndarray,
+def placement_objective(scn: Scenario, terms: InstanceTerms, onoff: np.ndarray,
                         theta: np.ndarray, powers: np.ndarray):
     """Objective over the UAV position with (X, theta, P) fixed.
 
     Returns f mapping one position (2,) to a float, or a batch (P, 2) to (P,)
-    values, each the same bits as that position scored alone. The instance
-    terms and the element weights are built once, so each evaluation only
-    rebuilds the direct and UAV-RIS links, once for the whole batch.
+    values, each the same bits as that position scored alone. terms is the
+    run's :func:`instance_terms` and the element weights are built once, so
+    each evaluation only rebuilds the direct and UAV-RIS links, once for the
+    whole batch.
     """
-    terms = instance_terms(scn, scatter)
     weights = reflection_weights(theta, onoff)
     p = np.asarray(powers, dtype=float)
     active = float(np.sum(onoff))
 
     def objective(w_u: np.ndarray):
-        chans = build_channel_set(scn, w_u, scatter, terms=terms)
+        chans = build_channel_set(scn, w_u, terms)
         values = _fitness_core(np.abs(chans.effective(weights)) ** 2, p, active, scn)
         return float(values) if values.ndim == 0 else values
 

@@ -94,6 +94,7 @@ class Scenario:
         return np.asarray(self.gu_positions, dtype=float)
 
 
+_INT_FIELDS = ("num_gus", "ris_rows", "ris_cols", "num_props")
 _POSITIVE_FIELDS = (
     "ris_altitude", "uav_altitude", "row_spacing", "col_spacing", "wavelength",
     "bandwidth", "ref_path_loss", "noise_power", "pathloss_exp_ug", "pathloss_exp_rg",
@@ -107,13 +108,10 @@ def validate(scn: Scenario) -> Scenario:
 
     Raises :class:`ScenarioError` naming the offending field.
     """
-    if scn.num_gus < 1:
-        raise ScenarioError(f"num_gus must be >= 1, got {scn.num_gus}")
-    if scn.ris_rows < 1 or scn.ris_cols < 1:
-        raise ScenarioError(
-            f"ris_rows and ris_cols must be >= 1, got {scn.ris_rows}x{scn.ris_cols}")
-    if scn.num_props < 1:
-        raise ScenarioError(f"num_props must be >= 1, got {scn.num_props}")
+    for name in _INT_FIELDS:
+        value = getattr(scn, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
     for name in _POSITIVE_FIELDS:
         value = getattr(scn, name)
         if not np.isfinite(value) or value <= 0:
@@ -203,9 +201,6 @@ def scenario_to_dict(scn: Scenario) -> dict:
     return d
 
 
-_INT_FIELDS = {"num_gus", "ris_rows", "ris_cols", "num_props"}
-
-
 def _number(name: str, value) -> float:
     """value as a float; bools, strings, null and other non-numbers raise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -244,9 +239,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         elif key in ("ris_position", "uav_initial_position"):
             value = _pair(key, value)
         elif key in _INT_FIELDS:
-            if not _number(key, value).is_integer():
-                raise ScenarioError(f"{key} must be an integer, got {value!r}")
-            value = int(value)
+            value = _number(key, value)
+            if value.is_integer():
+                value = int(value)  # validate rejects the rest
         else:
             value = _number(key, value)
         kwargs[key] = value

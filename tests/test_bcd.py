@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from risuav import bcd
+from risuav import bcd, channel
 from risuav.bcd import (BcdConfig, baseline_no_ris, baseline_random_phase,
                         initial_solution, optimize)
 from risuav.channel import GeometryError, sample_scattering
 from risuav.harness import build_instance
-from risuav.objective import penalized_fitness, total_power
+from risuav.objective import check_constraints, penalized_fitness, total_power
 from risuav.optim import AdamConfig, GaConfig
 from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
                              with_gu_positions)
@@ -170,3 +170,29 @@ def test_failed_placement_climb_is_a_rejected_proposal(monkeypatch, error):
     np.testing.assert_array_equal(res.best.uav_pos, scn.uav_initial_position)
     assert np.all(np.diff(res.eta_trace) >= 0.0)
     assert res.constraint_report.overall_feasible
+
+
+def test_each_run_builds_the_ris_gu_block_once(monkeypatch):
+    # Every channel build of a run, its placement climbs and its final report
+    # included, takes the one bundle of instance terms the run built.
+    calls = []
+    ris_gu_block = channel.ris_gu_block
+
+    def counting(*args):
+        calls.append(1)
+        return ris_gu_block(*args)
+
+    monkeypatch.setattr(channel, "ris_gu_block", counting)
+    scn, scatter = small_instance(seed=3)
+    cfg = quick_cfg(delta=1.0e-300, max_outer_iters=3)
+    runs = [lambda: optimize(scn, scatter, initial_solution(scn), cfg=cfg, seed=3),
+            lambda: baseline_random_phase(scn, scatter, cfg=cfg, seed=3),
+            lambda: baseline_no_ris(scn, scatter, cfg=cfg, seed=3)]
+    for run in runs:
+        calls.clear()
+        res = run()
+        assert res.outer_iters_used >= 2
+        assert len(calls) == 1
+        report = check_constraints(res.best, scatter, scn)
+        assert report.eta == res.constraint_report.eta
+        assert np.array_equal(report.per_gu_rate, res.constraint_report.per_gu_rate)

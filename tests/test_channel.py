@@ -186,7 +186,8 @@ def test_effective_channel_all_off_is_direct():
     theta = np.array([0.3, 1.0, 2.0])
     c = effective_channel(0.4 - 0.1j, h_rg, h_ur, theta, np.zeros(3))
     assert c == pytest.approx(0.4 - 0.1j)
-    cs = ChannelSet(direct=np.array([0.4 - 0.1j]), uav_ris=h_ur, ris_gu=h_rg[None, :])
+    cs = ChannelSet(direct=np.array([0.4 - 0.1j]), uav_ris=h_ur, ris_gu=h_rg[None, :],
+                    ris_gu_conj=np.conj(h_rg)[None, :])
     assert effective_channels(cs, theta, np.zeros(3))[0] == pytest.approx(0.4 - 0.1j)
 
 
@@ -197,7 +198,7 @@ def test_effective_channel_single_element_expansion():
     expect = h_ug + np.conj(h_rg) * np.exp(1j * th) * h_ur
     assert c == pytest.approx(expect)
     cs = ChannelSet(direct=np.array([h_ug]), uav_ris=np.array([h_ur]),
-                    ris_gu=np.array([[h_rg]]))
+                    ris_gu=np.array([[h_rg]]), ris_gu_conj=np.array([[np.conj(h_rg)]]))
     assert effective_channels(cs, np.array([th]), np.array([1.0]))[0] == pytest.approx(expect)
 
 
@@ -213,7 +214,7 @@ def test_build_channel_set_matches_per_link_functions():
     scn = with_gu_positions(default_scenario(),
                             [(190.0, 20.0), (212.0, 35.0), (201.0, 12.0)])
     scatter = sample_scattering(RngStream(5, "scatter"), 3, 60)
-    cs = build_channel_set(scn, UAV, scatter)
+    cs = build_channel_set(scn, UAV, instance_terms(scn, scatter))
     for k in range(3):
         assert cs.direct[k] == pytest.approx(channel_uav_gu(scn, UAV, k, scatter),
                                              rel=1e-12)
@@ -227,9 +228,10 @@ def test_build_channel_set_reuses_cached_block():
     scatter = sample_scattering(RngStream(2, "scatter"), 2, 60)
     terms = instance_terms(scn, scatter)
     assert np.array_equal(terms.ris_gu, ris_gu_block(scn, scatter))
-    cs = build_channel_set(scn, UAV, scatter, terms=terms)
+    assert np.array_equal(terms.ris_gu_conj, np.conj(terms.ris_gu))
+    cs = build_channel_set(scn, UAV, terms)
     assert cs.ris_gu is terms.ris_gu and cs.ris_gu_conj is terms.ris_gu_conj
-    fresh = build_channel_set(scn, UAV, scatter)
+    fresh = build_channel_set(scn, UAV, instance_terms(scn, scatter))
     for name in ("direct", "uav_ris", "ris_gu", "ris_gu_conj"):
         assert np.array_equal(getattr(cs, name), getattr(fresh, name))
 
@@ -237,7 +239,7 @@ def test_build_channel_set_reuses_cached_block():
 def test_effective_channels_matches_scalar_composition():
     scn = with_gu_positions(default_scenario(), [(195.0, 30.0), (208.0, 18.0)])
     scatter = sample_scattering(RngStream(9, "scatter"), 2, 60)
-    cs = build_channel_set(scn, UAV, scatter)
+    cs = build_channel_set(scn, UAV, instance_terms(scn, scatter))
     rng = np.random.default_rng(0)
     theta = rng.uniform(0, 2 * np.pi, 60)
     x = rng.integers(0, 2, 60).astype(float)
@@ -310,7 +312,7 @@ def test_build_channel_set_batch_matches_per_point_loop(rows, cols):
     terms = instance_terms(scn, scatter)
     cached = terms.ris_gu
     w = uav_batch(40, seed=1)
-    batch = build_channel_set(scn, w, scatter, terms=terms)
+    batch = build_channel_set(scn, w, terms)
     assert batch.direct.shape == (len(w), scn.num_gus)
     assert batch.uav_ris.shape == (len(w), rows * cols)
     assert batch.ris_gu is cached
@@ -321,10 +323,10 @@ def test_build_channel_set_batch_matches_per_point_loop(rows, cols):
     c_batch = effective_channels(batch, theta, x)
     assert c_batch.shape == (len(w), scn.num_gus)
     # A batch of exactly K positions must not pair GU k with position k.
-    c_square = effective_channels(build_channel_set(scn, w[:scn.num_gus], scatter), theta, x)
+    c_square = effective_channels(build_channel_set(scn, w[:scn.num_gus], terms), theta, x)
     assert np.array_equal(c_square, c_batch[:scn.num_gus])
     for i, point in enumerate(w):
-        one = build_channel_set(scn, point, scatter, terms=terms)
+        one = build_channel_set(scn, point, terms)
         assert np.array_equal(batch.direct[i], one.direct)
         assert np.array_equal(batch.uav_ris[i], one.uav_ris)
         assert np.array_equal(one.cascade, np.conj(cached) * one.uav_ris[None, :])
@@ -355,4 +357,4 @@ def test_batch_with_one_uav_over_the_ris_raises():
     with pytest.raises(GeometryError):
         channel_uav_ris(scn, w)
     with pytest.raises(GeometryError):
-        build_channel_set(scn, w, scatter)
+        build_channel_set(scn, w, instance_terms(scn, scatter))

@@ -9,8 +9,8 @@ import pytest
 
 from risuav import harness
 from risuav.channel import build_channel_set, effective_channels, instance_terms
-from risuav.harness import (ALL_SCHEMES, RESULT_HEADER, ExperimentResult,
-                            ExperimentRow, ExperimentSpec, build_instance,
+from risuav.harness import (ALL_SCHEMES, ORACLE_POWER_GRID, RESULT_HEADER,
+                            ExperimentResult, ExperimentRow, ExperimentSpec, build_instance,
                             emit_csv, emit_traces, load_spec, near_square_factors,
                             resolve_base_scenario, run_experiment, run_oracle,
                             spec_from_dict, spec_to_dict, validate_spec,
@@ -251,12 +251,13 @@ def test_run_oracle_matches_direct_enumeration():
     base = scenario_from_dict({"num_gus": 1, "ris_rows": 1, "ris_cols": 1})
     eta, sol = run_oracle(1, 1, 4, 3, scn=base, seed=0)
     scn, scatter, _ = build_instance(base, 1, 1, 0)
+    terms = instance_terms(scn, scatter)
     best = -np.inf
     for wx in np.linspace(175.0, 225.0, 3):
         for wy in np.linspace(0.0, 50.0, 3):
             if wx == 200.0 and wy == 0.0:
                 continue
-            chans = build_channel_set(scn, np.array([wx, wy]), scatter)
+            chans = build_channel_set(scn, np.array([wx, wy]), terms)
             for x in (0.0, 1.0):
                 for theta in 2 * np.pi * np.arange(4) / 4:
                     c = effective_channels(chans, np.array([theta]), np.array([x]))
@@ -282,13 +283,13 @@ def test_run_oracle_no_ris_degenerate():
 
 def test_run_oracle_two_user_power_search():
     base = scenario_from_dict({"num_gus": 2, "ris_rows": 1, "ris_cols": 2})
-    eta, sol = run_oracle(2, 2, 3, 3, scn=base, seed=0, power_grid=4)
+    eta, sol = run_oracle(2, 2, 3, 3, scn=base, seed=0)
     assert eta > 0
     assert sol.powers.shape == (2,)
     assert np.sum(sol.powers) <= 1.0 + 1e-12
 
 
-def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed, power_grid=16):
+def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed):
     """The oracle as one kernel call per (position, pattern, scale), rows phase-major.
 
     Returns (best eta, best SolutionState, feasible rows, infeasible rows); the
@@ -302,7 +303,8 @@ def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed, power_grid=16
         levels = 2.0 * np.pi * np.arange(theta_grid) / theta_grid
         thetas = levels[np.indices((theta_grid,) * m).reshape(m, -1).T]
     phase_factors = np.exp(1j * thetas)
-    scales = np.array([1.0]) if k == 1 else np.linspace(1.0 / power_grid, 1.0, power_grid)
+    scales = (np.array([1.0]) if k == 1
+              else np.linspace(1.0 / ORACLE_POWER_GRID, 1.0, ORACLE_POWER_GRID))
     p_split = np.full(k, inst.max_power / k)
     terms = instance_terms(inst, scatter)
     best_eta, best, n_ok, n_bad = -np.inf, None, 0, 0
@@ -311,7 +313,7 @@ def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed, power_grid=16
             w = np.array([wx, wy])
             if np.hypot(wx - inst.ris_position[0], wy - inst.ris_position[1]) < 1.0e-9:
                 continue
-            chans = build_channel_set(inst, w, scatter, terms=terms)
+            chans = build_channel_set(inst, w, terms)
             v = np.conj(chans.ris_gu) * chans.uav_ris[None, :]
             for pat in patterns:
                 c_eff = chans.direct[None, :] + (phase_factors * pat[None, :]) @ v.T
@@ -372,27 +374,26 @@ def test_run_oracle_bitwise_with_infeasible_rows():
     assert some_off
 
 
-@pytest.mark.parametrize("m, k, theta_grid, power_grid", [
-    (3, 2, 3, 5),   # a 27-row cap: two-on patterns take scales in chunks of 3 and 2
-    (4, 2, 2, 7),
-    (2, 2, 4, 1),
-    (3, 2, 1, 4),
-    (3, 1, 3, 5),
+# A pattern with n_on elements on scores theta_grid^n_on rows, so it takes the
+# 16 power scales in chunks of theta_grid^(m - n_on) under the theta_grid^m cap.
+@pytest.mark.parametrize("m, k, theta_grid", [
+    (3, 2, 3),   # a 27-row cap: chunks of 9 (9 + 7) and of 3 (5 x 3 + 1)
+    (4, 2, 3),   # an 81-row cap: the same chunks of 9 and 3, with four elements
+    (2, 2, 5),   # a 25-row cap: chunks of 5 (3 x 5 + 1)
+    (3, 2, 1),   # one row per pattern, one scale per call
+    (3, 1, 3),   # k = 1: a single scale
 ])
-def test_run_oracle_bitwise_with_uneven_scale_chunks(m, k, theta_grid, power_grid):
+def test_run_oracle_bitwise_with_uneven_scale_chunks(m, k, theta_grid):
     base = default_scenario()
     for seed in (0, 1):
-        eta, sol = run_oracle(m, k, theta_grid, 3, scn=base, seed=seed,
-                              power_grid=power_grid)
-        ref_eta, ref, _, _ = _oracle_reference(m, k, theta_grid, 3, base, seed,
-                                               power_grid=power_grid)
+        eta, sol = run_oracle(m, k, theta_grid, 3, scn=base, seed=seed)
+        ref_eta, ref, _, _ = _oracle_reference(m, k, theta_grid, 3, base, seed)
         assert eta == ref_eta
         _assert_same_solution(sol, ref)
 
 
-@pytest.mark.parametrize("m, theta_grid, power_grid", [(3, 3, 5), (4, 2, 16), (0, 3, 4)])
-def test_run_oracle_kernel_calls_stay_within_the_row_cap(monkeypatch, m, theta_grid,
-                                                         power_grid):
+@pytest.mark.parametrize("m, theta_grid", [(3, 3), (4, 2), (0, 3)])
+def test_run_oracle_kernel_calls_stay_within_the_row_cap(monkeypatch, m, theta_grid):
     counts = []
 
     def counting(gain, powers, *args):
@@ -403,11 +404,11 @@ def test_run_oracle_kernel_calls_stay_within_the_row_cap(monkeypatch, m, theta_g
         return evaluate_efficiency(gain, powers, *args)
 
     monkeypatch.setattr(harness, "evaluate_efficiency", counting)
-    run_oracle(m, 2, theta_grid, 2, power_grid=power_grid)
+    run_oracle(m, 2, theta_grid, 2)
     assert max(counts) <= theta_grid ** max(m, 1)
     # Only distinct phase rows are scored: sum over patterns of theta_grid^n_on,
     # at every scale and every one of the 4 lattice points.
-    assert sum(counts) == (theta_grid + 1) ** m * power_grid * 4
+    assert sum(counts) == (theta_grid + 1) ** m * ORACLE_POWER_GRID * 4
 
 
 def test_run_oracle_off_elements_keep_phase_zero():
@@ -421,8 +422,10 @@ def test_run_oracle_off_elements_keep_phase_zero():
 
 
 def test_run_oracle_lattice_only_above_the_ris():
+    # placement_grid=1 leaves the box corner (175, 0) as the only lattice point.
+    base = scenario_from_dict({"ris_position": [175.0, 0.0]})
     with pytest.raises(RuntimeError, match="above the RIS"):
-        run_oracle(1, 1, 2, 1, placement_box=((200.0, 200.0), (0.0, 0.0)))
+        run_oracle(1, 1, 2, 1, scn=base)
 
 
 def test_run_oracle_size_limits():

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from risuav.channel import (GeometryError, ScatteringDraw, build_channel_set,
-                            effective_channels, ris_gu_block, sample_scattering)
+                            effective_channels, instance_terms, ris_gu_block,
+                            sample_scattering)
 from risuav.objective import (FITNESS_FLOOR, RATE_PENALTY_WEIGHT, SolutionState,
                               _fitness_core, check_constraints,
                               energy_efficiency, evaluate_efficiency, hover_power,
@@ -160,7 +161,7 @@ def test_energy_efficiency_hand_composed_single_element():
     scatter = zero_scatter(1, 1)
     sol = SolutionState(onoff=np.ones(1), phases=np.array([0.7]),
                         powers=np.array([0.5]), uav_pos=np.array([200.0, 50.0]))
-    chans = build_channel_set(scn, sol.uav_pos, scatter)
+    chans = build_channel_set(scn, sol.uav_pos, instance_terms(scn, scatter))
     c = effective_channels(chans, sol.phases, sol.onoff)
     r_t = scn.bandwidth * np.log2(1 + np.abs(c[0]) ** 2 * 0.5 / scn.noise_power)
     p_t = HOVER_DEFAULT + 0.5 + scn.gu_circuit_power + scn.ru_power
@@ -296,7 +297,7 @@ def full_instance(seed=0):
 def test_phase_power_fitness_matches_scalar_path():
     scn, scatter = full_instance()
     sol = solved_state(scn)
-    chans = build_channel_set(scn, sol.uav_pos, scatter)
+    chans = build_channel_set(scn, sol.uav_pos, instance_terms(scn, scatter))
     fit = phase_power_fitness(scn, chans, sol.onoff)
     rng = np.random.default_rng(7)
     pop = np.hstack([rng.uniform(0, 2 * np.pi, (5, 60)),
@@ -312,7 +313,7 @@ def test_phase_power_fitness_matches_scalar_path():
 def test_power_fitness_matches_scalar_path():
     scn, scatter = full_instance()
     sol = solved_state(scn)
-    chans = build_channel_set(scn, sol.uav_pos, scatter)
+    chans = build_channel_set(scn, sol.uav_pos, instance_terms(scn, scatter))
     fit = power_fitness(scn, chans, sol.phases, sol.onoff)
     rng = np.random.default_rng(8)
     pop = rng.uniform(0.01, 0.2, (5, 4))
@@ -327,7 +328,7 @@ def test_power_fitness_matches_scalar_path():
 def test_onoff_fitness_matches_scalar_path():
     scn, scatter = full_instance()
     sol = solved_state(scn)
-    chans = build_channel_set(scn, sol.uav_pos, scatter)
+    chans = build_channel_set(scn, sol.uav_pos, instance_terms(scn, scatter))
     fit = onoff_fitness(scn, chans, sol.phases, sol.powers)
     rng = np.random.default_rng(9)
     pop = rng.integers(0, 2, (5, 60))
@@ -342,8 +343,8 @@ def test_onoff_fitness_matches_scalar_path():
 def test_placement_objective_matches_scalar_path():
     scn, scatter = full_instance()
     sol = solved_state(scn)
-    objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
-                                    sol.powers)
+    objective = placement_objective(scn, instance_terms(scn, scatter), sol.onoff,
+                                    sol.phases, sol.powers)
     for w in ([200.0, 50.0], [185.0, 40.0], [210.0, 10.0]):
         cand = sol.copy()
         cand.uav_pos = np.asarray(w)
@@ -356,8 +357,8 @@ def test_placement_objective_batch_matches_per_point_loop(rows, cols):
     scn = dataclasses.replace(full_instance()[0], ris_rows=rows, ris_cols=cols)
     scatter = sample_scattering(RngStream(1, "scatter"), 4, rows * cols)
     sol = solved_state(scn, rng_seed=2)
-    objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
-                                    sol.powers)
+    objective = placement_objective(scn, instance_terms(scn, scatter), sol.onoff,
+                                    sol.phases, sol.powers)
     rng = np.random.default_rng(5)
     w = np.column_stack([rng.uniform(150.0, 250.0, 30), rng.uniform(-40.0, 90.0, 30)])
     batch = objective(w)
@@ -371,8 +372,8 @@ def test_placement_objective_batch_matches_per_point_loop(rows, cols):
 def test_placement_objective_batch_over_the_ris_raises():
     scn, scatter = full_instance()
     sol = solved_state(scn)
-    objective = placement_objective(scn, scatter, sol.onoff, sol.phases,
-                                    sol.powers)
+    objective = placement_objective(scn, instance_terms(scn, scatter), sol.onoff,
+                                    sol.phases, sol.powers)
     w = np.array([[200.0, 50.0], list(scn.ris_position), [210.0, 10.0]])
     with pytest.raises(GeometryError):
         objective(w)
@@ -447,15 +448,17 @@ def test_placement_objective_matches_reference_bit_for_bit(k, rows, cols, floor,
         scn = dataclasses.replace(scn, min_rate=floor)
     scatter = sample_scattering(RngStream(k, "scatter"), k, rows * cols)
     sol = solved_state(scn, rng_seed=k)
-    args = (scn, scatter, sol.onoff, sol.phases, sol.powers)
-    new, ref = placement_objective(*args), ref_placement_objective(*args)
+    terms = instance_terms(scn, scatter)
+    rest = (sol.onoff, sol.phases, sol.powers)
+    new = placement_objective(scn, terms, *rest)
+    ref = ref_placement_objective(scn, scatter, *rest)
     rng = np.random.default_rng(rows * cols)
     w = np.column_stack([rng.uniform(150.0, 250.0, 200), rng.uniform(-40.0, 90.0, 200)])
     batch = new(w)
     assert same_bits(batch, ref(w))
     # The binding floor penalizes some positions and not others; the default
     # floor penalizes none, so only the skip path runs.
-    plain = placement_objective(dataclasses.replace(scn, min_rate=0.0), *args[1:])(w)
+    plain = placement_objective(dataclasses.replace(scn, min_rate=0.0), terms, *rest)(w)
     penalized = batch < plain
     assert (penalized.any() and not penalized.all()) if binding else not penalized.any()
     for point in w:

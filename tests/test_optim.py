@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from risuav.bcd import BcdConfig, initial_solution
-from risuav.channel import sample_scattering
+from risuav.channel import instance_terms, sample_scattering
 from risuav.objective import placement_objective
 from risuav.optim import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DEFAULT_THETA_SIGMA,
                           POWER_FLOOR, POWER_MUTATION_FRAC, AdamConfig, GaConfig,
@@ -466,8 +466,8 @@ def placement_field(seed=2):
                             sample_gu_positions(RngStream(seed, "gu-positions"), 4))
     scatter = sample_scattering(RngStream(seed, "scatter"), 4, scn.num_elements)
     rng = np.random.default_rng(seed)
-    return placement_objective(scn, scatter, np.ones(60), rng.uniform(0, TWO_PI, 60),
-                               np.full(4, 0.25))
+    return placement_objective(scn, instance_terms(scn, scatter), np.ones(60),
+                               rng.uniform(0, TWO_PI, 60), np.full(4, 0.25))
 
 
 class CountingField:

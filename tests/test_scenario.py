@@ -44,6 +44,17 @@ def test_validate_rejects_nonpositive_fields():
         validate(Scenario(num_gus=0))
 
 
+@pytest.mark.parametrize("name", ["num_gus", "ris_rows", "ris_cols", "num_props"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_validate_rejects_counts_that_are_not_integers(name, value):
+    # A Scenario built directly is checked like one read from a file. Past
+    # validation, a float count fails mid-cell and a bool one runs as 0 or 1.
+    with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
+        validate(Scenario(**{name: value}))
+    with pytest.raises(ScenarioError, match=name):
+        scenario_from_dict({name: value})
+
+
 @pytest.mark.parametrize("name", ["rician_ug", "rician_rg"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_validate_rejects_bad_rician_factors(name, value):
