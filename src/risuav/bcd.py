@@ -4,6 +4,7 @@ One outer pass runs the continuous GA on (theta, P), the binary GA on X, and Ada
 on the UAV position, in that order, each seeing the latest accepted values of the
 other blocks. A block's proposal is accepted only if it does not decrease the
 penalized objective, so the per-iteration trace is non-decreasing by construction.
+Proposals are scored by ``objective.constraint_report``; the kept report is the result's.
 The loop stops when the relative improvement over one pass falls below delta.
 
 Baselines share the same skeleton: ``baseline_no_ris`` forces every element off
@@ -26,8 +27,8 @@ import numpy as np
 
 from .channel import GeometryError, ScatteringDraw, build_channel_set, instance_terms
 from .objective import (ConstraintReport, SolutionState, constraint_report, onoff_fitness,
-                        penalized_fitness, phase_power_fitness, placement_objective,
-                        power_fitness, validate_solution)
+                        phase_power_fitness, placement_objective, power_fitness,
+                        validate_solution)
 from .optim import (POWER_FLOOR, AdamConfig, GaConfig, adam_maximize, ga_binary_run,
                     ga_continuous_run, repair_power)
 from .scenario import RngStream, Scenario, validate
@@ -81,38 +82,34 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
     sol.powers = repair_power(sol.powers, scn.max_power, cfg.power_floor)
 
     terms = instance_terms(scn, scatter)
+    report = constraint_report(sol, terms, scn)
+    trace = [report.fitness]
+    m_ga = m if search_ris else 0
 
-    def score(s: SolutionState) -> float:
-        chans = build_channel_set(scn, s.uav_pos, terms)
-        return penalized_fitness(s, scatter, scn, chans=chans)
-
-    cur = score(sol)
-    trace = [cur]
+    def accept(cand: SolutionState) -> None:
+        """Keep cand, with its report, iff its penalized fitness does not fall."""
+        nonlocal sol, report
+        cand_report = constraint_report(cand, terms, scn)
+        if cand_report.fitness >= report.fitness:
+            sol, report = cand, cand_report
 
     for it in range(1, cfg.max_outer_iters + 1):
         chans = build_channel_set(scn, sol.uav_pos, terms)
 
-        # (a) phases and powers jointly, or powers alone when phases are frozen.
-        # The incumbent genome seeds the population so passes refine, not restart.
+        # (a) phases and powers jointly, or powers alone (m_ga = 0) when phases
+        # are frozen. The incumbent genome seeds the population so passes
+        # refine, not restart.
         rng = RngStream(seed, f"ga-phase:{it}").generator()
+        fit = (phase_power_fitness(scn, chans, sol.onoff) if search_ris
+               else power_fitness(scn, chans, sol.phases, sol.onoff))
+        incumbent = np.concatenate([sol.phases[:m_ga], sol.powers])
+        genome, _, _ = ga_continuous_run(fit, (m_ga, k), cfg.ga_phase_cfg, rng,
+                                         p_max=scn.max_power, p_min=cfg.power_floor,
+                                         seed_genomes=incumbent)
         cand = sol.copy()
-        if search_ris:
-            fit = phase_power_fitness(scn, chans, sol.onoff)
-            incumbent = np.concatenate([sol.phases, sol.powers])
-            genome, _, _ = ga_continuous_run(fit, (m, k), cfg.ga_phase_cfg, rng,
-                                             p_max=scn.max_power, p_min=cfg.power_floor,
-                                             seed_genomes=incumbent)
-            cand.phases = genome[:m].copy()
-            cand.powers = genome[m:].copy()
-        else:
-            fit = power_fitness(scn, chans, sol.phases, sol.onoff)
-            genome, _, _ = ga_continuous_run(fit, (0, k), cfg.ga_phase_cfg, rng,
-                                             p_max=scn.max_power, p_min=cfg.power_floor,
-                                             seed_genomes=sol.powers)
-            cand.powers = genome.copy()
-        val = score(cand)
-        if val >= cur:
-            sol, cur = cand, val
+        cand.phases[:m_ga] = genome[:m_ga]
+        cand.powers = genome[m_ga:].copy()
+        accept(cand)
 
         # (b) on-off pattern
         if search_ris:
@@ -122,9 +119,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
                                           seed_genomes=sol.onoff.astype(int))
             cand = sol.copy()
             cand.onoff = pattern.astype(float)
-            val = score(cand)
-            if val >= cur:
-                sol, cur = cand, val
+            accept(cand)
 
         # (c) UAV placement. A stencil point with undefined or non-finite
         # channels ends the climb as a rejected proposal: the UAV stays put.
@@ -136,18 +131,15 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
         else:
             cand = sol.copy()
             cand.uav_pos = np.asarray(w_best, dtype=float)
-            val = score(cand)
-            if val >= cur:
-                sol, cur = cand, val
+            accept(cand)
 
         prev = trace[-1]
-        trace.append(cur)
-        if (cur - prev) / max(prev, 1.0e-300) < cfg.delta:
+        trace.append(report.fitness)
+        if (report.fitness - prev) / max(prev, 1.0e-300) < cfg.delta:
             break
 
     return BcdResult(best=sol, eta_trace=np.asarray(trace),
-                     outer_iters_used=len(trace) - 1,
-                     constraint_report=constraint_report(sol, terms, scn),
+                     outer_iters_used=len(trace) - 1, constraint_report=report,
                      wall_time=time.perf_counter() - t0)
 
 

@@ -93,6 +93,25 @@ class ExperimentResult:
 
 
 def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
+    """Check every field's type and value, naming the field; returns spec."""
+    for name in _COUNT_FIELDS:
+        value = getattr(spec, name)
+        if not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, low in (("seeds", 0), ("sweep_values", 1)):
+        values = getattr(spec, name)
+        if not all(_is_int(v) and v >= low for v in values):
+            raise ValueError(f"{name} entries must be integers >= {low}, got {list(values)}")
+    if not all(isinstance(v, str) for v in spec.schemes):
+        raise ValueError(f"schemes entries must be names, got {list(spec.schemes)}")
+    for name, types, expected in (("output_path", str, "a string"),
+                                  ("scenario_path", (str, type(None)), "a string or null"),
+                                  ("scenario_inline", (dict, type(None)), "an object or null")):
+        if not isinstance(getattr(spec, name), types):
+            raise ValueError(f"{name} must be {expected}, got {getattr(spec, name)!r}")
+    if not ((_is_int(spec.delta) or isinstance(spec.delta, float))
+            and np.isfinite(spec.delta) and spec.delta > 0):
+        raise ValueError(f"delta must be a finite number > 0, got {spec.delta!r}")
     if spec.kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {spec.kind!r}")
     if not spec.seeds:
@@ -105,18 +124,11 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
         bad = sorted(set(spec.schemes) - set(ALL_SCHEMES))
         if bad:
             raise ValueError(f"unknown scheme(s): {', '.join(bad)}")
-    if any(v < 1 for v in spec.sweep_values):
-        raise ValueError(f"sweep_values must be positive, got {spec.sweep_values}")
     # A repeated entry would run the same cell twice: duplicate rows, one trace.
     for name in ("seeds", "sweep_values", "schemes"):
         values = getattr(spec, name)
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
-    for name in _COUNT_FIELDS:
-        if getattr(spec, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
-    if not (np.isfinite(spec.delta) and spec.delta > 0):
-        raise ValueError(f"delta must be finite and > 0, got {spec.delta}")
     if spec.kind == "oracle":
         if max(spec.sweep_values) > ORACLE_MAX_ELEMENTS:
             raise ValueError(f"oracle sweep_values (element counts) must be in "
@@ -494,21 +506,6 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             if not isinstance(kwargs[key], list):
                 raise ValueError(f"{key} must be a list, got {kwargs[key]!r}")
             kwargs[key] = tuple(kwargs[key])
-    for key in _COUNT_FIELDS:
-        if key in kwargs and not _is_int(kwargs[key]):
-            raise ValueError(f"{key} must be an integer, got {kwargs[key]!r}")
-    for key in ("seeds", "sweep_values"):
-        if not all(_is_int(v) for v in kwargs.get(key, ())):
-            raise ValueError(f"{key} entries must be integers, got {list(kwargs[key])}")
-    if not all(isinstance(v, str) for v in kwargs.get("schemes", ())):
-        raise ValueError(f"schemes entries must be names, got {list(kwargs['schemes'])}")
-    for key, types, expected in (("output_path", str, "a string"),
-                                 ("scenario_path", (str, type(None)), "a string or null"),
-                                 ("scenario_inline", (dict, type(None)), "an object or null")):
-        if key in kwargs and not isinstance(kwargs[key], types):
-            raise ValueError(f"{key} must be {expected}, got {kwargs[key]!r}")
-    if "delta" in kwargs and not (_is_int(kwargs["delta"]) or isinstance(kwargs["delta"], float)):
-        raise ValueError(f"delta must be a number, got {kwargs['delta']!r}")
     return validate_spec(ExperimentSpec(**kwargs))
 
 

@@ -52,6 +52,7 @@ class ConstraintReport:
     overall_feasible: bool
     total_power: float         # watts, hover + transmit + circuits + RIS
     eta: float                 # bits/joule, sum rate over total power
+    fitness: float             # eta under the rate penalty, as the solvers score it
 
 
 def validate_solution(solution: SolutionState, scn: Scenario) -> SolutionState:
@@ -129,33 +130,35 @@ def constraint_report(solution: SolutionState, terms: InstanceTerms,
     return ConstraintReport(per_gu_rate=rates, rate_feasible=rate_ok, power_sum=psum,
                             power_feasible=power_ok,
                             overall_feasible=bool(power_ok and np.all(rate_ok)),
-                            total_power=float(p_total), eta=float(eta))
+                            total_power=float(p_total), eta=float(eta),
+                            fitness=float(_penalized(rates, eta, scn)))
 
 
-def _fitness_core(gain, powers, onoff_total, scn: Scenario) -> np.ndarray:
-    """Penalized fitness from gains |C|^2, broadcast over leading axes.
+def _penalized(rates, eta, scn: Scenario) -> np.ndarray:
+    """eta under the rate penalty, floored at FITNESS_FLOOR, over leading axes.
 
     With no rate under the floor every deficit term is +0.0 (NaN for a NaN
     rate), so the penalty would keep eta; it is skipped.
     """
-    rates, _, eta = evaluate_efficiency(gain, powers, onoff_total, scn)
     if scn.min_rate > 0 and (rates < scn.min_rate).any():
         deficit = np.maximum((scn.min_rate - rates) / scn.min_rate, 0.0).sum(axis=-1)
         eta = np.where(deficit > 0.0, eta / (1.0 + RATE_PENALTY_WEIGHT * deficit), eta)
     return np.maximum(eta, FITNESS_FLOOR)
 
 
-def penalized_fitness(solution: SolutionState, scatter: ScatteringDraw, scn: Scenario,
-                      chans: ChannelSet | None = None) -> float:
+def _fitness_core(gain, powers, onoff_total, scn: Scenario) -> np.ndarray:
+    """Penalized fitness from gains |C|^2, broadcast over leading axes."""
+    rates, _, eta = evaluate_efficiency(gain, powers, onoff_total, scn)
+    return _penalized(rates, eta, scn)
+
+
+def penalized_fitness(solution: SolutionState, scatter: ScatteringDraw,
+                      scn: Scenario) -> float:
     """Positive scalar fitness: eta when rate-feasible, penalized eta otherwise.
 
     Power constraints are assumed repaired upstream and are not penalized here.
-    A prebuilt ChannelSet for solution.uav_pos may be passed to skip channel work.
     """
-    if chans is None:
-        chans = build_channel_set(scn, solution.uav_pos, instance_terms(scn, scatter))
-    gain = np.abs(effective_channels(chans, solution.phases, solution.onoff)) ** 2
-    return float(_fitness_core(gain, solution.powers, float(np.sum(solution.onoff)), scn))
+    return check_constraints(solution, scatter, scn).fitness
 
 
 # ---------------------------------------------------------------------------

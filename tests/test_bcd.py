@@ -196,3 +196,6 @@ def test_each_run_builds_the_ris_gu_block_once(monkeypatch):
         report = check_constraints(res.best, scatter, scn)
         assert report.eta == res.constraint_report.eta
         assert np.array_equal(report.per_gu_rate, res.constraint_report.per_gu_rate)
+        # The kept report scored the trace's last entry; no rebuild follows the loop.
+        assert res.constraint_report.fitness == res.eta_trace[-1]
+        assert report.fitness == res.constraint_report.fitness

@@ -80,6 +80,38 @@ def test_validate_spec_rejects_oracle_fields():
                                         fixed_gus=4))
 
 
+# One field's bad type or value each, named in the error whether the spec is
+# built directly or loaded from a document. Most cases also run through the CLI in
+# tests/test_cli.py::test_bad_spec_values_fail_before_any_cell.
+SPEC_FIELD_FAULTS = [
+    ({"workers": "2"}, "workers"),
+    ({"max_outer_iters": True}, "max_outer_iters"),
+    ({"seeds": [0.5]}, "seeds"),
+    ({"seeds": [-1]}, "seeds"),
+    ({"schemes": ["no-ris", 1]}, "schemes"),
+    ({"kind": "sweep-gus", "sweep_values": [2.5]}, "sweep_values"),
+    ({"delta": "0.5"}, "delta"),
+    ({"delta": True}, "delta"),
+    ({"output_path": 5}, "output_path"),
+    ({"scenario_inline": None, "scenario_path": 0}, "scenario_path"),
+    ({"scenario_inline": [1, 2]}, "scenario_inline"),
+    ({"kind": "oracle", "sweep_values": [2], "fixed_gus": 1, "theta_grid": 2.5},
+     "theta_grid"),
+    ({"kind": "oracle", "sweep_values": [2], "fixed_gus": 1.0}, "fixed_gus"),
+]
+
+
+@pytest.mark.parametrize("fields, name", SPEC_FIELD_FAULTS)
+def test_spec_field_rules_hold_for_built_and_loaded_specs(fields, name):
+    doc = {"kind": "single", "scenario_inline": TINY, "seeds": [0], **fields}
+    with pytest.raises(ValueError, match=name):
+        spec_from_dict(doc)
+    built = {key: tuple(v) if isinstance(v, list) and key != "scenario_inline" else v
+             for key, v in doc.items()}
+    with pytest.raises(ValueError, match=name):
+        validate_spec(ExperimentSpec(**built))
+
+
 def test_spec_round_trip():
     spec = tiny_spec(kind="sweep-elements", sweep_values=(2, 4), fixed_gus=2)
     assert spec_from_dict(spec_to_dict(spec)) == spec

@@ -15,11 +15,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from risuav import objective
 from risuav.channel import (GeometryError, ScatteringDraw, build_channel_set,
                             effective_channels, instance_terms, ris_gu_block,
                             sample_scattering)
 from risuav.objective import (FITNESS_FLOOR, RATE_PENALTY_WEIGHT, SolutionState,
-                              _fitness_core, check_constraints,
+                              _fitness_core, check_constraints, constraint_report,
                               energy_efficiency, evaluate_efficiency, hover_power,
                               onoff_fitness, penalized_fitness, per_gu_rates,
                               phase_power_fitness, placement_objective, power_fitness,
@@ -468,10 +469,13 @@ def test_placement_objective_matches_reference_bit_for_bit(k, rows, cols, floor,
 
 
 @pytest.mark.parametrize("case", ["none-under", "one-at-floor", "one-row-under", "nan-row"])
-def test_fitness_core_matches_reference_tail(case):
-    scn = default_scenario()
+def test_fitness_core_matches_reference_tail(case, monkeypatch):
+    scn = with_gu_positions(default_scenario(),
+                            sample_gu_positions(RngStream(3, "gu-positions"), 4))
     rng = np.random.default_rng(3)
-    gain = rng.uniform(1.0e-9, 1.0e-8, (50, 4))
+    # Gains formed as constraint_report forms them, |C|^2 of a channel row.
+    chan = np.sqrt(rng.uniform(1.0e-9, 1.0e-8, (50, 4)))
+    gain = np.abs(chan) ** 2
     powers = rng.uniform(0.1, 0.25, (50, 4))
     rates = per_gu_rates(gain, powers, scn.bandwidth, scn.noise_power)
     row_min = rates.min(axis=1)
@@ -481,9 +485,17 @@ def test_fitness_core_matches_reference_tail(case):
         # The lowest row is under; the next lowest sits exactly on the floor.
         scn = dataclasses.replace(scn, min_rate=float(np.sort(row_min)[1]))
     elif case == "nan-row":
-        gain[7] = np.nan
+        chan[7] = gain[7] = np.nan
     got = _fitness_core(gain, powers, 60.0, scn)
     assert same_bits(got, ref_fitness_tail(gain, powers, 60.0, scn))
+    # Scoring each row as a whole solution, with 60 elements on, gives the same bits.
+    rows = iter(chan)
+    monkeypatch.setattr(objective, "effective_channels", lambda *_: next(rows))
+    terms = instance_terms(scn, sample_scattering(RngStream(3, "scatter"), 4, 60))
+    fitness = [constraint_report(SolutionState(np.ones(60), np.zeros(60), p,
+                                               np.array([200.0, 50.0])), terms, scn).fitness
+               for p in powers]
+    assert same_bits(fitness, got)
     eta = evaluate_efficiency(gain, powers, 60.0, scn)[2]
     n_penalized = int((got < eta).sum())
     assert n_penalized == (1 if case == "one-row-under" else 0)
