@@ -223,8 +223,6 @@ _TINY_SWEEP = ["sweep-elements", "--m", "2", "--seeds", "1"]
     (_tiny_spec(workers="2"), "workers"),
     (_tiny_spec(max_outer_iters=True), "max_outer_iters"),
     (_tiny_spec(seeds=[0.5]), "seeds"),
-    (_tiny_spec(seeds=[-1]), "seeds"),
-    (["sweep-gus", "--m", "2", "--k", "1", "--seeds", "1", "--seed", "-1"], "seeds"),
     (_tiny_spec(seeds=0), "seeds"),
     (_tiny_spec(schemes="proposed"), "schemes"),
     (_tiny_spec(schemes=["no-ris", 1]), "schemes"),
@@ -238,6 +236,8 @@ _TINY_SWEEP = ["sweep-elements", "--m", "2", "--seeds", "1"]
     (_tiny_spec(schemes=["no-ris", "no-ris"]), "schemes"),
     (["sweep-gus", "--m", "2", "--k", "1,1", "--seeds", "1", "--max-outer", "1"],
      "sweep_values"),
+    (_tiny_spec(seeds=[-1]), "seeds"),
+    (["sweep-gus", "--m", "2", "--k", "1", "--seeds", "1", "--seed", "-1"], "seeds"),
 ])
 def test_bad_spec_values_fail_before_any_cell(tmp_path, capsys, args, field):
     # args is a command line, or a spec document that ``run --spec`` reads.
