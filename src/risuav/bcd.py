@@ -29,8 +29,8 @@ from .channel import GeometryError, ScatteringDraw, build_channel_set, instance_
 from .objective import (ConstraintReport, SolutionState, constraint_report, onoff_fitness,
                         phase_power_fitness, placement_objective, power_fitness,
                         validate_solution)
-from .optim import (POWER_FLOOR, AdamConfig, GaConfig, adam_maximize, ga_binary_run,
-                    ga_continuous_run, repair_power)
+from .optim import (POWER_FLOOR, AdamConfig, GaConfig, _check_adam_config, _check_ga_config,
+                    adam_maximize, ga_binary_run, ga_continuous_run, repair_power)
 from .scenario import RngStream, Scenario, validate
 
 
@@ -58,6 +58,10 @@ def _check_bcd_config(cfg: BcdConfig) -> None:
         raise ValueError(f"delta must be > 0, got {cfg.delta}")
     if cfg.max_outer_iters < 1:
         raise ValueError(f"max_outer_iters must be >= 1, got {cfg.max_outer_iters}")
+    # The solver settings too, so a bad one fails before any block runs.
+    _check_ga_config(cfg.ga_phase_cfg)
+    _check_ga_config(cfg.ga_onoff_cfg)
+    _check_adam_config(cfg.adam_cfg)
 
 
 def initial_solution(scn: Scenario, power_floor: float = POWER_FLOOR) -> SolutionState:

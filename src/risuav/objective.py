@@ -76,24 +76,38 @@ def per_gu_rates(gain, powers, bandwidth: float, noise: float) -> np.ndarray:
 
     gain (real gains |C_k|^2) and powers are (..., K); returns (..., K) bits/s.
     """
+    p = np.asarray(powers, dtype=float)
+    return _rates(gain, p, p.sum(axis=-1, keepdims=True), bandwidth, noise)
+
+
+def _rates(gain, p: np.ndarray, psum: np.ndarray, bandwidth: float,
+           noise: float) -> np.ndarray:
+    """:func:`per_gu_rates` from float powers p and their sums psum (keepdims)."""
     g = np.asarray(gain)
     if np.iscomplexobj(g):
         raise TypeError("per_gu_rates takes real gains |C|^2, not complex channels")
-    p = np.asarray(powers, dtype=float)
-    interference = g * (p.sum(axis=-1, keepdims=True) - p)
-    gamma = g * p / (interference + noise)
-    return bandwidth * np.log2(1.0 + gamma)
+    # B*log2(1 + g*p / (g*(psum - p) + N)), each step in place on a fresh array.
+    interference = g * (psum - p)
+    interference += noise
+    gamma = g * p
+    gamma /= interference
+    gamma += 1.0
+    np.log2(gamma, out=gamma)
+    gamma *= bandwidth
+    return gamma
 
 
 def evaluate_efficiency(gain, powers, n_active, scn: Scenario):
     """(per-GU rates, total power, eta) from (..., K) gains |C|^2 and powers.
 
     Total power is hover (``scn.hover_power``) + transmit + GU circuit +
-    per-active-element RIS power.
+    per-active-element RIS power. The powers are summed once, for both.
     """
-    rates = per_gu_rates(gain, powers, scn.bandwidth, scn.noise_power)
+    p = np.asarray(powers, dtype=float)
+    psum = p.sum(axis=-1, keepdims=True)
+    rates = _rates(gain, p, psum, scn.bandwidth, scn.noise_power)
     k = rates.shape[-1]
-    p_total = (scn.hover_power + np.asarray(powers, dtype=float).sum(axis=-1)
+    p_total = (scn.hover_power + psum[..., 0]
                + k * scn.gu_circuit_power + scn.ru_power * np.asarray(n_active))
     return rates, p_total, rates.sum(axis=-1) / p_total
 
@@ -165,6 +179,18 @@ def penalized_fitness(solution: SolutionState, scatter: ScatteringDraw,
 # Batched fitness builders for the inner solvers.
 # ---------------------------------------------------------------------------
 
+def _unit_phasors(theta: np.ndarray) -> np.ndarray:
+    """np.exp(1j * theta) for a 2-D theta, without the complex multiply.
+
+    1j * theta has a zero real part, so exp(+0 + j*theta) has the same bits,
+    except at theta = -0.0: there the result's zero imaginary part takes the
+    other sign. wrap_phase never emits -0.0.
+    """
+    z = np.zeros(theta.shape, dtype=complex)
+    z.imag = theta
+    return np.exp(z, out=z)
+
+
 def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray):
     """Fitness over [theta | P] genomes with X and the UAV position fixed.
 
@@ -176,9 +202,8 @@ def phase_power_fitness(scn: Scenario, chans: ChannelSet, onoff: np.ndarray):
 
     def fitness(genomes: np.ndarray) -> np.ndarray:
         g = np.atleast_2d(np.asarray(genomes, dtype=float))
-        theta, powers = g[:, :m], g[:, m:]
-        c_eff = chans.direct[None, :] + np.exp(1j * theta) @ coeff.T
-        return _fitness_core(np.abs(c_eff) ** 2, powers, active, scn)
+        c_eff = chans.direct[None, :] + _unit_phasors(g[:, :m]) @ coeff.T
+        return _fitness_core(np.abs(c_eff) ** 2, g[:, m:], active, scn)
 
     return fitness
 

@@ -71,13 +71,16 @@ def _check_ga_config(cfg: GaConfig) -> None:
         raise ValueError(f"pop_pairs must be >= 1, got {cfg.pop_pairs}")
     if cfg.generations < 1:
         raise ValueError(f"generations must be >= 1, got {cfg.generations}")
-    if cfg.mutation_scale is not None and cfg.mutation_scale < 0:
-        raise ValueError(f"mutation_scale must be >= 0, got {cfg.mutation_scale}")
+    if cfg.mutation_scale is not None and not 0 <= cfg.mutation_scale < math.inf:
+        raise ValueError(f"mutation_scale must be finite and >= 0, got {cfg.mutation_scale}")
 
 
 def _check_adam_config(cfg: AdamConfig) -> None:
-    if cfg.step <= 0 or cfg.fd_step <= 0:
-        raise ValueError("step and fd_step must both be positive")
+    # A NaN or infinite step would end the climb as a rejected placement, not an error.
+    for name in ("step", "fd_step"):
+        value = getattr(cfg, name)
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     if cfg.iters < 1:
         raise ValueError(f"iters must be >= 1, got {cfg.iters}")
 
@@ -163,11 +166,15 @@ def wrap_phase(theta) -> np.ndarray:
 
     fmod then a 2*pi shift of negative remainders is np.mod's own rule for a
     positive divisor, at a third of its cost. A zero remainder becomes +0.0, as
-    in np.mod, and a tiny negative that rounds up to 2*pi wraps to 0.
+    in np.mod, and a tiny negative that rounds up to 2*pi wraps to 0. The three
+    passes write one fresh array, so a 0-d input gives a 0-d array.
     """
-    t = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
-    t = np.where(t < 0.0, t + TWO_PI, t)
-    return np.where((t >= TWO_PI) | (t == 0.0), 0.0, t)
+    x = np.asarray(theta, dtype=float)
+    t = np.fmod(x, TWO_PI, out=np.empty(x.shape))
+    # A zero of either sign takes the shift to 2*pi, which the last pass makes +0.0.
+    np.add(t, TWO_PI, out=t, where=t <= 0.0)
+    np.copyto(t, 0.0, where=t >= TWO_PI)
+    return t
 
 
 def repair_power(p_raw, p_max: float, p_min: float = POWER_FLOOR) -> np.ndarray:
@@ -269,12 +276,16 @@ def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
     def mutate(children):
         # Wrap and repair, so every individual in every generation is feasible.
         children = mutate_continuous(children, sigma, rng)
+        # The checks are single reductions, NaN failing each; an empty block passes.
         if m:
-            children[:, :m] = wrap_phase(children[:, :m])
-        children[:, m:] = repair_power(children[:, m:], p_max, p_min)
-        assert (children[:, :m] >= 0.0).all() and (children[:, :m] < TWO_PI).all()
-        assert (children[:, m:] > 0.0).all()
-        assert (children[:, m:].sum(axis=1) <= p_max * (1.0 + 1.0e-9)).all()
+            theta = wrap_phase(children[:, :m])
+            assert theta.min() >= 0.0 and theta.max() < TWO_PI
+            children[:, :m] = theta
+        if k:
+            p = repair_power(children[:, m:], p_max, p_min)
+            assert p.min() > 0.0
+            assert p.sum(axis=1).max() <= p_max * (1.0 + 1.0e-9)
+            children[:, m:] = p
         return children
 
     return _ga_loop(fitness, pop, cfg, rng, lambda a, b: crossover_blend(a, b, rng), mutate)
@@ -310,7 +321,9 @@ def ga_binary_run(fitness, m: int, cfg: GaConfig, rng: np.random.Generator,
         return crossover_single_point(a, b, rng.integers(1, m, size=len(a)))
 
     def mutate(children):
-        return np.where(rng.uniform(size=children.shape) < mu, 1 - children, children)
+        # Flip in place: the brood is a fresh array.
+        np.subtract(1, children, out=children, where=rng.uniform(size=children.shape) < mu)
+        return children
 
     return _ga_loop(fitness, pop, cfg, rng, crossover, mutate)
 

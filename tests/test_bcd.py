@@ -146,6 +146,24 @@ def test_bcd_config_validation():
                  cfg=quick_cfg(max_outer_iters=0))
 
 
+@pytest.mark.parametrize("field, cfg", [
+    ("mutation_scale", {"ga_phase_cfg": GaConfig(mutation_scale=float("nan"))}),
+    ("mutation_scale", {"ga_onoff_cfg": GaConfig(mutation_scale=float("inf"))}),
+    ("step", {"adam_cfg": AdamConfig(step=float("nan"))}),
+    ("fd_step", {"adam_cfg": AdamConfig(fd_step=float("inf"))}),
+], ids=["phase-nan", "onoff-inf", "step-nan", "fd_step-inf"])
+def test_non_finite_solver_settings_fail_before_any_block(monkeypatch, field, cfg):
+    # An infinite Adam step used to end every climb as a rejected placement, so
+    # the UAV silently never moved; a NaN GA scale failed an assert mid-run.
+    def block_ran(*args, **kwargs):
+        raise AssertionError("a block ran")
+    for name in ("build_channel_set", "ga_continuous_run", "ga_binary_run", "adam_maximize"):
+        monkeypatch.setattr(bcd, name, block_ran)
+    scn, scatter = small_instance()
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        optimize(scn, scatter, initial_solution(scn), cfg=quick_cfg(**cfg))
+
+
 def test_singular_placement_stencil_keeps_the_uav_in_place():
     # From (200, 0.5) the first stencil point is the RIS foot point (200, 0),
     # where the UAV-RIS azimuth is undefined. The climb is dropped, not the cell.

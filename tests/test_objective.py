@@ -503,3 +503,77 @@ def test_fitness_core_matches_reference_tail(case, monkeypatch):
         assert np.isnan(got[7]) and np.isfinite(np.delete(got, 7)).all()
     if case == "one-at-floor":
         assert (rates == scn.min_rate).sum() == 1
+
+
+# ---------------------------------------------------------------------------
+# Byte-level references: the rate kernel with a power sum per use and
+# out-of-place temporaries, and the phase exponential through 1j * theta.
+# ---------------------------------------------------------------------------
+
+def ref_evaluate_efficiency(gain, powers, n_active, scn):
+    g = np.asarray(gain)
+    p = np.asarray(powers, dtype=float)
+    interference = g * (p.sum(axis=-1, keepdims=True) - p)
+    gamma = g * p / (interference + scn.noise_power)
+    rates = scn.bandwidth * np.log2(1.0 + gamma)
+    p_total = (scn.hover_power + p.sum(axis=-1)
+               + rates.shape[-1] * scn.gu_circuit_power + scn.ru_power * np.asarray(n_active))
+    return rates, p_total, rates.sum(axis=-1) / p_total
+
+
+def _kernel_inputs(caller, rng):
+    """(gain, powers, n_active) in the shapes and layouts each caller passes."""
+    if caller == "phase-power":      # (n, K) gains with (n, K) powers
+        return rng.uniform(1e-10, 1e-7, (50, 8)), rng.uniform(1e-6, 0.2, (50, 8)), 240.0
+    if caller == "power":            # one (1, K) gain row with (n, K) powers
+        return rng.uniform(1e-10, 1e-7, (1, 8)), rng.uniform(1e-6, 0.2, (50, 8)), 240.0
+    if caller == "oracle":           # a (T, K) transposed view with (S, 1, K) powers
+        gain = rng.uniform(1e-10, 1e-7, (2, 256)).T
+        powers = (np.linspace(0.1, 1.0, 16)[:, None] * np.full(2, 0.5))[:, None, :]
+        return gain, powers, np.int64(3)
+    # constraint_report: one (K,) solution, with a zero gain and a zero power
+    gain = rng.uniform(1e-10, 1e-7, 4)
+    powers = rng.uniform(1e-6, 0.2, 4)
+    gain[1] = powers[2] = 0.0
+    return gain, powers, 60.0
+
+
+@pytest.mark.parametrize("caller", ["phase-power", "power", "oracle", "solution"])
+def test_rate_kernel_matches_two_sum_reference_bit_for_bit(caller):
+    scn = default_scenario()
+    gain, powers, n_active = _kernel_inputs(caller, np.random.default_rng(41))
+    rates, p_total, eta = evaluate_efficiency(gain, powers, n_active, scn)
+    ref_rates, ref_total, ref_eta = ref_evaluate_efficiency(gain, powers, n_active, scn)
+    for got, ref in ((rates, ref_rates), (p_total, ref_total), (eta, ref_eta)):
+        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+        assert same_bits(got, ref)
+    alone = per_gu_rates(gain, powers, scn.bandwidth, scn.noise_power)
+    assert alone.shape == ref_rates.shape and same_bits(alone, ref_rates)
+    # The inputs are read, never written.
+    assert same_bits(gain, _kernel_inputs(caller, np.random.default_rng(41))[0])
+    assert same_bits(powers, _kernel_inputs(caller, np.random.default_rng(41))[1])
+
+
+@pytest.mark.parametrize("draw", ["in-range", "negative"])
+def test_unit_phasors_equal_exp_of_1j_theta_bit_for_bit(draw):
+    rng, two_pi = np.random.default_rng(42), 2.0 * np.pi
+    if draw == "in-range":
+        # A strided view, as the fitness slices the phase block out of each genome.
+        theta = rng.uniform(0.0, two_pi, (2000, 248))[:, :240]
+        theta[0, :3] = [0.0, 5e-324, np.nextafter(two_pi, 0.0)]
+    else:
+        theta = -rng.uniform(0.0, 40.0, (2000, 240))
+    got = objective._unit_phasors(theta)
+    ref = np.exp(1j * theta)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_unit_phasors_differ_from_1j_theta_only_in_the_sign_of_a_zero_at_minus_zero():
+    # 1j * -0.0 is (-0.0, +0.0), so exp gives (1, +0.0); exp(+0 - 0j) gives (1, -0.0).
+    # wrap_phase maps -0.0 to +0.0, so the phase fitness never sees it.
+    got = objective._unit_phasors(np.array([[-0.0]]))[0, 0]
+    ref = np.exp(1j * np.array([[-0.0]]))[0, 0]
+    assert got == ref
+    assert (got.real, np.signbit(got.imag)) == (1.0, True)
+    assert (ref.real, np.signbit(ref.imag)) == (1.0, False)

@@ -170,6 +170,20 @@ def test_wrap_phase_matches_mod_form_byte_for_byte(theta):
     assert out.tobytes() == ref.tobytes()
 
 
+def test_wrap_phase_on_a_strided_population_block_byte_for_byte():
+    # The mutate hook wraps children[:, :m], a view with the genome's row stride.
+    rng = np.random.default_rng(34)
+    brood = rng.uniform(-30.0, 30.0, (50, 248))
+    brood[0, :len(_WRAP_EDGES)] = _WRAP_EDGES
+    brood[1, :len(_WRAP_EDGES)] = np.negative(_WRAP_EDGES)
+    view = brood[:, :240]
+    with np.errstate(invalid="ignore"):
+        out, ref = wrap_phase(view), _ref_wrap(view)
+    assert out.shape == (50, 240) and out.tobytes() == ref.tobytes()
+    bulk = rng.uniform(-30.0, 30.0, 600_000)
+    assert wrap_phase(bulk).view(np.uint64).tolist() == _ref_wrap(bulk).view(np.uint64).tolist()
+
+
 def test_repair_power_matches_clip_form_byte_for_byte():
     raw = np.array([[-0.0, 0.0, 1e-9, 0.3], [np.nan, 0.5, -2.0, 0.1],
                     [3.0, 1.0, 2.0, 4.0], [-np.inf, 0.2, 0.2, 0.2]])
@@ -356,6 +370,25 @@ def test_ga_binary_rejects_bad_flip_probability():
     with pytest.raises(ValueError, match="flip probability"):
         ga_binary_run(lambda pop: np.ones(len(pop)), 4,
                       GaConfig(mutation_scale=1.5), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+@pytest.mark.parametrize("run", ["continuous", "binary"])
+def test_ga_rejects_a_non_finite_or_negative_mutation_scale(run, bad):
+    cfg = GaConfig(pop_pairs=2, generations=1, mutation_scale=bad)
+    with pytest.raises(ValueError, match="mutation_scale must be finite and >= 0"):
+        if run == "continuous":
+            ga_continuous_run(lambda pop: np.ones(len(pop)), (3, 2), cfg,
+                              np.random.default_rng(0))
+        else:
+            ga_binary_run(lambda pop: np.ones(len(pop)), 5, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("name", ["step", "fd_step"])
+def test_adam_rejects_a_non_finite_or_non_positive_step(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        adam_maximize(lambda w: -float(w @ w), np.zeros(2), AdamConfig(**{name: bad}))
 
 
 def _run_continuous(seed_genomes):
@@ -684,7 +717,8 @@ def test_crossover_single_point_per_row_cuts_equal_pair_loop():
 
 
 @pytest.mark.parametrize("dims, seeded", [((5, 3), False), ((4, 0), False),
-                                          ((0, 3), False), ((5, 3), True)])
+                                          ((0, 3), False), ((5, 3), True),
+                                          ((240, 8), False)])
 def test_ga_continuous_matches_pair_loop(dims, seeded):
     m, k = dims
     cfg = GaConfig(pop_pairs=6, generations=25)
@@ -701,9 +735,11 @@ def test_ga_continuous_matches_pair_loop(dims, seeded):
     _assert_same_run((batched, seen_b), (reference, seen_r), rng_b, rng_r)
 
 
-@pytest.mark.parametrize("m", [1, 2, 9])
-def test_ga_binary_matches_pair_loop(m):
-    cfg = GaConfig(pop_pairs=5, generations=25)
+# The last case flips with probability 0.4, so most children flip many bits.
+@pytest.mark.parametrize("m, mutation_scale", [(1, None), (2, None), (9, None), (60, 0.4)],
+                         ids=["1", "2", "9", "60-flip0.4"])
+def test_ga_binary_matches_pair_loop(m, mutation_scale):
+    cfg = GaConfig(pop_pairs=5, generations=25, mutation_scale=mutation_scale)
     weights = np.linspace(1.0, 2.0, m)
 
     def fitness(pop):
@@ -715,3 +751,4 @@ def test_ga_binary_matches_pair_loop(m):
     batched = ga_binary_run(fit_b, m, cfg, rng_b, seed_genomes=np.ones(m, dtype=int))
     reference = _ref_ga_binary(fit_r, m, cfg, rng_r, seed_genomes=np.ones(m, dtype=int))
     _assert_same_run((batched, seen_b), (reference, seen_r), rng_b, rng_r)
+
