@@ -29,8 +29,9 @@ from .channel import GeometryError, ScatteringDraw, build_channel_set, instance_
 from .objective import (ConstraintReport, SolutionState, constraint_report, onoff_fitness,
                         phase_power_fitness, placement_objective, power_fitness,
                         validate_solution)
-from .optim import (POWER_FLOOR, AdamConfig, GaConfig, _check_adam_config, _check_ga_config,
-                    adam_maximize, ga_binary_run, ga_continuous_run, repair_power)
+from .optim import (POWER_FLOOR, AdamConfig, GaConfig, _check_adam_config, _check_count,
+                    _check_ga_config, adam_maximize, ga_binary_run, ga_continuous_run,
+                    repair_power)
 from .scenario import RngStream, Scenario, validate
 
 
@@ -56,8 +57,7 @@ class BcdResult:
 def _check_bcd_config(cfg: BcdConfig) -> None:
     if not cfg.delta > 0:  # also rejects NaN, which would never stop the loop early
         raise ValueError(f"delta must be > 0, got {cfg.delta}")
-    if cfg.max_outer_iters < 1:
-        raise ValueError(f"max_outer_iters must be >= 1, got {cfg.max_outer_iters}")
+    _check_count("max_outer_iters", cfg.max_outer_iters)
     # The solver settings too, so a bad one fails before any block runs.
     _check_ga_config(cfg.ga_phase_cfg)
     _check_ga_config(cfg.ga_onoff_cfg)

@@ -27,7 +27,7 @@ from .bcd import (BcdConfig, BcdResult, baseline_no_ris, baseline_random_phase,
                   initial_solution, optimize)
 from .channel import build_channel_set, instance_terms, sample_scattering
 from .objective import SolutionState, check_constraints, evaluate_efficiency
-from .scenario import (RngStream, Scenario, default_scenario, load_scenario,
+from .scenario import (RngStream, Scenario, default_scenario, is_integral, load_scenario,
                        sample_gu_positions, scenario_from_dict, scenario_to_dict,
                        with_gu_positions)
 
@@ -324,7 +324,8 @@ def _oracle_enumeration(m: int, theta_grid: int, placement_grid: int) -> int:
     """(pattern, phase, position) triples in the oracle's logical enumeration.
 
     This is the size that validation bounds, not the number of rows the oracle
-    scores: it scores each pattern's distinct phase rows only (see run_oracle).
+    scores: it scores the (theta_grid + 1)^m distinct rows of its weight
+    lattice per position and power scale (see run_oracle).
     """
     return (2 ** m) * (theta_grid ** m) * (placement_grid ** 2)
 
@@ -333,27 +334,32 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
                scn: Scenario | None = None, seed: int = 0):
     """Exhaustive discretized optimum for tiny instances.
 
-    Enumerates every on-off pattern, every per-element phase from a uniform grid
-    of theta_grid levels, and every UAV position on a placement_grid^2 lattice
-    over ORACLE_PLACEMENT_BOX. Powers use full P_max when k=1, otherwise a line
-    search over ORACLE_POWER_GRID uniform-split scalings. m=0 degenerates to a
-    no-RIS search (a single all-off element). Returns (best eta, best
-    SolutionState). The instance is derived from (scn, seed) exactly as the
-    experiment cells derive theirs, so oracle and solver runs pair up. Ties go
-    to the first (position, pattern, scale, phase row) in enumeration order.
+    Enumerates one weight lattice: each of the m elements takes one of
+    theta_grid uniform phase levels 2*pi*l/theta_grid or an extra "off" level
+    of weight 0 (phase 0), so (theta_grid + 1)^m rows, each a distinct decision.
+    m=0 degenerates to a no-RIS search: one row whose single element is off.
+    Every UAV position on a placement_grid^2 lattice over ORACLE_PLACEMENT_BOX
+    is scored against every row. Powers use full P_max when k=1,
+    otherwise a line search over ORACLE_POWER_GRID uniform-split scalings.
+    Returns (best eta, best SolutionState). The instance is derived from
+    (scn, seed) exactly as the experiment cells derive theirs, so oracle and
+    solver runs pair up.
 
-    Phase rows that differ only where the pattern is off give the same channels
-    bit for bit, so each pattern scores only its distinct rows, theta_grid^n_on
-    of them: the first of each set of duplicates, with its off phases at level 0.
-    Dropping later duplicates cannot move a tie, which the first row wins anyway.
-    One kernel call scores a pattern's rows at several power scales, as many as
-    keep it within theta_grid^max(m, 1) rows, and its scale-major argmax keeps
-    the (scale, row) order. Each pattern's gains |C|^2 are built GU-major, (k, T),
-    once for all its scales, and reach the kernel as a (T, k) view, so its reductions
-    over k run as whole-column passes; that is bit-identical to the row-major
-    layout only because k <= 2, and a sum of two terms rounds the same in
-    either order.
+    Each position forms its gains once, with one product against the weights,
+    and makes one kernel call per power scale. Ties go to the first
+    (position, scale, row) in the lattice's C order; with no duplicate rows, a
+    tie needs bit-equal eta from two different decisions. The gains |C|^2 are
+    built GU-major, (k, R), and reach the kernel as a (R, k) view, so its
+    reductions over k run as whole-column passes; that is bit-identical to the
+    row-major layout only because k <= 2, and a sum of two terms rounds the
+    same in either order.
     """
+    for name, value in (("m", m), ("k", k), ("theta_grid", theta_grid),
+                        ("placement_grid", placement_grid)):
+        if not is_integral(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    # Python ints from here: a small NumPy integer would wrap in the size check.
+    m, k, theta_grid, placement_grid = int(m), int(k), int(theta_grid), int(placement_grid)
     if not 0 <= m <= ORACLE_MAX_ELEMENTS:
         raise ValueError(f"oracle supports m in [0, {ORACLE_MAX_ELEMENTS}], got {m}")
     if not 1 <= k <= ORACLE_MAX_GUS:
@@ -365,28 +371,19 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
         raise ValueError(f"enumeration size {n_combos} exceeds {_MAX_ENUMERATION}")
 
     base = default_scenario() if scn is None else scn
-    m_eff = max(m, 1)
-    inst, scatter, _ = build_instance(base, k, m_eff, seed)
+    inst, scatter, _ = build_instance(base, k, max(m, 1), seed)
 
-    if m == 0:
-        patterns = np.zeros((1, 1))
-        thetas = np.zeros((1, 1))
-    else:
-        patterns = ((np.arange(2 ** m)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
-        levels = 2.0 * np.pi * np.arange(theta_grid) / theta_grid
-        idx = np.indices((theta_grid,) * m).reshape(m, -1).T
-        thetas = levels[idx]
-    phase_factors = np.exp(1j * thetas)
-    # Per pattern: its distinct phase rows (off phases at level 0), in order.
-    blocks = []
-    for pat in patterns:
-        rows = np.flatnonzero(np.all(thetas[:, pat == 0] == 0.0, axis=1))
-        blocks.append((pat, rows, phase_factors[rows] * pat))
+    # Level theta_grid is "off": weight 0, phase 0.
+    idx = (np.indices((theta_grid + 1,) * m).reshape(m, -1).T if m
+           else np.full((1, 1), theta_grid))
+    levels = np.append(2.0 * np.pi * np.arange(theta_grid) / theta_grid, 0.0)
+    onoff = (idx < theta_grid).astype(float)
+    phases = levels[idx]
+    weights = np.exp(1j * phases) * onoff
+    n_on = onoff.sum(axis=1)
 
-    if k == 1:
-        scales = np.array([1.0])
-    else:
-        scales = np.linspace(1.0 / ORACLE_POWER_GRID, 1.0, ORACLE_POWER_GRID)
+    scales = (np.array([1.0]) if k == 1
+              else np.linspace(1.0 / ORACLE_POWER_GRID, 1.0, ORACLE_POWER_GRID))
     powers = scales[:, None] * np.full(k, inst.max_power / k)  # (S, k)
 
     (x_lo, x_hi), (y_lo, y_hi) = ORACLE_PLACEMENT_BOX
@@ -402,23 +399,17 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
 
     chans = build_channel_set(inst, lattice, instance_terms(inst, scatter))
 
-    best_eta = -np.inf
-    best = None
-    max_rows = theta_grid ** m_eff
+    best_eta, best = -np.inf, None
     for w, direct, v in zip(lattice, chans.direct, chans.cascade):
-        for pat, rows, block in blocks:
-            gain = (np.abs(direct[:, None] + v @ block.T) ** 2).T  # (T, k) view
-            n_on = pat.sum()
-            step = max(1, max_rows // len(rows))
-            for s0 in range(0, len(powers), step):
-                rates, _, eta = evaluate_efficiency(gain, powers[s0:s0 + step, None, :],
-                                                    n_on, inst)
-                eta = np.where(np.all(rates >= inst.min_rate, axis=-1), eta, -np.inf)
-                s, j = np.unravel_index(np.argmax(eta), eta.shape)
-                if eta[s, j] > best_eta:
-                    best_eta = float(eta[s, j])
-                    best = SolutionState(onoff=pat.copy(), phases=thetas[rows[j]].copy(),
-                                         powers=powers[s0 + s].copy(), uav_pos=w.copy())
+        gain = (np.abs(direct[:, None] + v @ weights.T) ** 2).T  # (R, k) view
+        for p in powers:
+            rates, _, eta = evaluate_efficiency(gain, p, n_on, inst)
+            eta = np.where(np.all(rates >= inst.min_rate, axis=-1), eta, -np.inf)
+            j = np.argmax(eta)
+            if eta[j] > best_eta:
+                best_eta = float(eta[j])
+                best = SolutionState(onoff=onoff[j].copy(), phases=phases[j].copy(),
+                                     powers=p.copy(), uav_pos=w.copy())
     if best is None:
         raise RuntimeError("no rate-feasible point in the oracle's enumeration")
     return best_eta, best

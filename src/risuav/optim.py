@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scenario import is_integral
+
 TWO_PI = 2.0 * np.pi
 
 # Default mutation scale for phase entries, radians.
@@ -66,11 +68,14 @@ class AdamConfig:
     fd_step: float = 0.5
 
 
+def _check_count(name: str, value) -> None:
+    if not (is_integral(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_ga_config(cfg: GaConfig) -> None:
-    if cfg.pop_pairs < 1:
-        raise ValueError(f"pop_pairs must be >= 1, got {cfg.pop_pairs}")
-    if cfg.generations < 1:
-        raise ValueError(f"generations must be >= 1, got {cfg.generations}")
+    _check_count("pop_pairs", cfg.pop_pairs)
+    _check_count("generations", cfg.generations)
     if cfg.mutation_scale is not None and not 0 <= cfg.mutation_scale < math.inf:
         raise ValueError(f"mutation_scale must be finite and >= 0, got {cfg.mutation_scale}")
 
@@ -81,8 +86,7 @@ def _check_adam_config(cfg: AdamConfig) -> None:
         value = getattr(cfg, name)
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if cfg.iters < 1:
-        raise ValueError(f"iters must be >= 1, got {cfg.iters}")
+    _check_count("iters", cfg.iters)
 
 
 # ---------------------------------------------------------------------------

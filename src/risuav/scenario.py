@@ -27,6 +27,11 @@ class ScenarioError(ValueError):
     """Invalid scenario field or malformed scenario file."""
 
 
+def is_integral(value) -> bool:
+    """True for an integral number, NumPy integers included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def hover_power(mass_kg: float, gravity: float, prop_radius_m: float,
                 num_props: float, air_density: float) -> float:
     """Hovering power sqrt((m*g)^3 / (2*pi*r_p^2*n_p*rho)) in watts."""
@@ -110,7 +115,7 @@ def validate(scn: Scenario) -> Scenario:
     """
     for name in _INT_FIELDS:
         value = getattr(scn, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        if not is_integral(value) or value < 1:
             raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
     for name in _POSITIVE_FIELDS:
         value = getattr(scn, name)

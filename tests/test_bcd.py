@@ -164,6 +164,28 @@ def test_non_finite_solver_settings_fail_before_any_block(monkeypatch, field, cf
         optimize(scn, scatter, initial_solution(scn), cfg=quick_cfg(**cfg))
 
 
+@pytest.mark.parametrize("field, cfg", [
+    ("generations", {"ga_phase_cfg": GaConfig(generations=2.5)}),
+    ("pop_pairs", {"ga_onoff_cfg": GaConfig(pop_pairs=2.5)}),
+    ("iters", {"adam_cfg": AdamConfig(iters=2.5)}),
+    ("max_outer_iters", {"max_outer_iters": 2.5}),
+    ("pop_pairs", {"ga_phase_cfg": GaConfig(pop_pairs=True, generations=True)}),
+    ("generations", {"ga_onoff_cfg": GaConfig(generations=float("nan"))}),
+    ("max_outer_iters", {"max_outer_iters": True}),
+], ids=["generations-float", "pop_pairs-float", "iters-float", "max_outer_iters-float",
+        "pop_pairs-bool", "generations-nan", "max_outer_iters-bool"])
+def test_non_integer_solver_counts_fail_before_any_block(monkeypatch, field, cfg):
+    # A float count used to pass the checks and die mid-run with a bare
+    # TypeError; a bool count ran silently as 1.
+    def block_ran(*args, **kwargs):
+        raise AssertionError("a block ran")
+    for name in ("build_channel_set", "ga_continuous_run", "ga_binary_run", "adam_maximize"):
+        monkeypatch.setattr(bcd, name, block_ran)
+    scn, scatter = small_instance()
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+        optimize(scn, scatter, initial_solution(scn), cfg=quick_cfg(**cfg))
+
+
 def test_singular_placement_stencil_keeps_the_uav_in_place():
     # From (200, 0.5) the first stencil point is the RIS foot point (200, 0),
     # where the UAV-RIS azimuth is undefined. The climb is dropped, not the cell.

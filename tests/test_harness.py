@@ -370,15 +370,20 @@ def _assert_same_solution(sol, ref):
         assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
 
 
-@pytest.mark.parametrize("m, k, theta_grid, placement_grid, seeds", [
-    (4, 2, 3, 3, (0, 1)),
-    (3, 2, 4, 3, (0, 1, 2)),
-    (2, 1, 5, 4, (0, 1, 2)),
-    (1, 2, 8, 4, (0, 1, 2)),
-    (0, 2, 3, 4, (0, 1, 2)),
-])
-def test_run_oracle_bitwise_matches_reference_loop(m, k, theta_grid, placement_grid, seeds):
-    base = default_scenario()
+@pytest.mark.parametrize("m, k, theta_grid, placement_grid, seeds, overrides", [
+    (4, 2, 3, 3, (0, 1), {}),
+    (3, 2, 4, 3, (0, 1, 2), {}),
+    (2, 1, 5, 4, (0, 1, 2), {}),
+    (1, 2, 8, 4, (0, 1, 2), {}),
+    (0, 2, 3, 4, (0, 1, 2), {}),
+    # Costly elements: the best solutions switch on 1, 0 and 4 of the 4
+    # elements, so the off level is exercised, all-off included.
+    (4, 2, 3, 3, (0, 1, 2), {"ru_power": 0.5}),
+], ids=["4-2-3-3-seeds0", "3-2-4-3-seeds1", "2-1-5-4-seeds2", "1-2-8-4-seeds3",
+        "0-2-3-4-seeds4", "4-2-3-3-ru_power0.5"])
+def test_run_oracle_bitwise_matches_reference_loop(m, k, theta_grid, placement_grid, seeds,
+                                                   overrides):
+    base = scenario_from_dict(overrides)
     for seed in seeds:
         eta, sol = run_oracle(m, k, theta_grid, placement_grid, scn=base, seed=seed)
         ref_eta, ref, _, _ = _oracle_reference(m, k, theta_grid, placement_grid, base, seed)
@@ -406,14 +411,13 @@ def test_run_oracle_bitwise_with_infeasible_rows():
     assert some_off
 
 
-# A pattern with n_on elements on scores theta_grid^n_on rows, so it takes the
-# 16 power scales in chunks of theta_grid^(m - n_on) under the theta_grid^m cap.
+# Small lattices at one and at 16 power scales, with one phase level or several.
 @pytest.mark.parametrize("m, k, theta_grid", [
-    (3, 2, 3),   # a 27-row cap: chunks of 9 (9 + 7) and of 3 (5 x 3 + 1)
-    (4, 2, 3),   # an 81-row cap: the same chunks of 9 and 3, with four elements
-    (2, 2, 5),   # a 25-row cap: chunks of 5 (3 x 5 + 1)
-    (3, 2, 1),   # one row per pattern, one scale per call
-    (3, 1, 3),   # k = 1: a single scale
+    (3, 2, 3),
+    (4, 2, 3),
+    (2, 2, 5),
+    (3, 2, 1),
+    (3, 1, 3),
 ])
 def test_run_oracle_bitwise_with_uneven_scale_chunks(m, k, theta_grid):
     base = default_scenario()
@@ -437,9 +441,9 @@ def test_run_oracle_kernel_calls_stay_within_the_row_cap(monkeypatch, m, theta_g
 
     monkeypatch.setattr(harness, "evaluate_efficiency", counting)
     run_oracle(m, 2, theta_grid, 2)
-    assert max(counts) <= theta_grid ** max(m, 1)
-    # Only distinct phase rows are scored: sum over patterns of theta_grid^n_on,
-    # at every scale and every one of the 4 lattice points.
+    # One call per (lattice point, scale), each over the whole weight lattice:
+    # theta_grid phase levels plus "off" per element, at the 4 lattice points.
+    assert counts == [(theta_grid + 1) ** m] * (ORACLE_POWER_GRID * 4)
     assert sum(counts) == (theta_grid + 1) ** m * ORACLE_POWER_GRID * 4
 
 
@@ -458,6 +462,31 @@ def test_run_oracle_lattice_only_above_the_ris():
     base = scenario_from_dict({"ris_position": [175.0, 0.0]})
     with pytest.raises(RuntimeError, match="above the RIS"):
         run_oracle(1, 1, 2, 1, scn=base)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((2, 1, 2.5, 3), "theta_grid"),
+    ((2, 1, 2, 2.5), "placement_grid"),
+    ((2, 1.0, 2, 2), "k"),
+    ((True, 1, 2, 2), "m"),
+    ((2.0, 1, 2, 2), "m"),
+    ((2, 1, True, 2), "theta_grid"),
+])
+def test_run_oracle_rejects_non_integer_arguments(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        run_oracle(*args)
+
+
+def test_run_oracle_accepts_numpy_integers():
+    base = scenario_from_dict({"num_gus": 1, "ris_rows": 1, "ris_cols": 1})
+    eta, sol = run_oracle(1, 1, 4, 3, scn=base, seed=0)
+    np_eta, np_sol = run_oracle(np.int64(1), np.int32(1), np.int64(4), np.int8(3),
+                                scn=base, seed=0)
+    assert np_eta == eta
+    _assert_same_solution(np_sol, sol)
+    # 16 * 29^4 points, which int8 arithmetic would wrap to 16, under the 10^7 limit.
+    with pytest.raises(ValueError, match="enumeration size 11316496 exceeds"):
+        run_oracle(4, 2, np.int8(29), 1)
 
 
 def test_run_oracle_size_limits():

@@ -391,6 +391,38 @@ def test_adam_rejects_a_non_finite_or_non_positive_step(name, bad):
         adam_maximize(lambda w: -float(w @ w), np.zeros(2), AdamConfig(**{name: bad}))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("pop_pairs", 2.5), ("pop_pairs", True), ("generations", 2.5), ("generations", 0),
+])
+@pytest.mark.parametrize("run", ["continuous", "binary"])
+def test_ga_rejects_a_non_integer_count(run, field, bad):
+    cfg = GaConfig(**{"pop_pairs": 2, "generations": 1, field: bad})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+        if run == "continuous":
+            ga_continuous_run(lambda pop: np.ones(len(pop)), (3, 2), cfg,
+                              np.random.default_rng(0))
+        else:
+            ga_binary_run(lambda pop: np.ones(len(pop)), 5, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0])
+def test_adam_rejects_a_non_integer_iters(bad):
+    with pytest.raises(ValueError, match="^iters must be an integer >= 1"):
+        adam_maximize(lambda w: -float(w @ w), np.zeros(2), AdamConfig(iters=bad))
+
+
+def test_solver_counts_accept_numpy_integers():
+    def fit(pop):
+        return 1.0 / (1.0 + np.sum(pop ** 2, axis=1))
+    runs = [ga_continuous_run(fit, (3, 2), GaConfig(pop_pairs=p, generations=g),
+                              np.random.default_rng(0))
+            for p, g in ((3, 4), (np.int64(3), np.int32(4)))]
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    climbs = [adam_maximize(lambda w: -float(w @ w), np.ones(2), AdamConfig(iters=n))
+              for n in (5, np.int64(5))]
+    np.testing.assert_array_equal(climbs[0][0], climbs[1][0])
+
+
 def _run_continuous(seed_genomes):
     return ga_continuous_run(lambda pop: np.ones(len(pop)), (3, 2),
                              GaConfig(pop_pairs=2, generations=1),
