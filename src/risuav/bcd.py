@@ -97,7 +97,7 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
         if cand_report.fitness >= report.fitness:
             sol, report = cand, cand_report
 
-    for it in range(1, cfg.max_outer_iters + 1):
+    for it in range(1, int(cfg.max_outer_iters) + 1):
         chans = build_channel_set(scn, sol.uav_pos, terms)
 
         # (a) phases and powers jointly, or powers alone (m_ga = 0) when phases

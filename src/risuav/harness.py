@@ -26,7 +26,7 @@ from ._version import __version__
 from .bcd import (BcdConfig, BcdResult, baseline_no_ris, baseline_random_phase,
                   initial_solution, optimize)
 from .channel import build_channel_set, instance_terms, sample_scattering
-from .objective import SolutionState, check_constraints, evaluate_efficiency
+from .objective import SolutionState, check_constraints, optimal_powers
 from .scenario import (RngStream, Scenario, default_scenario, is_integral, load_scenario,
                        sample_gu_positions, scenario_from_dict, scenario_to_dict,
                        with_gu_positions)
@@ -42,9 +42,8 @@ RESULT_HEADER = ("scheme,sweep_value,seed,eta_bits_per_joule,sum_rate_bps,"
                  "total_power_w,outer_iters,wall_time_s")
 
 # Oracle lattice: placement box covering the GU disk, the RIS foot point, and
-# the initial UAV position; power line-search resolution for K >= 2.
+# the initial UAV position.
 ORACLE_PLACEMENT_BOX = ((175.0, 225.0), (0.0, 50.0))
-ORACLE_POWER_GRID = 16
 ORACLE_MAX_ELEMENTS = 4
 ORACLE_MAX_GUS = 2
 _MAX_ENUMERATION = 10_000_000
@@ -325,7 +324,7 @@ def _oracle_enumeration(m: int, theta_grid: int, placement_grid: int) -> int:
 
     This is the size that validation bounds, not the number of rows the oracle
     scores: it scores the (theta_grid + 1)^m distinct rows of its weight
-    lattice per position and power scale (see run_oracle).
+    lattice per position (see run_oracle).
     """
     return (2 ** m) * (theta_grid ** m) * (placement_grid ** 2)
 
@@ -339,20 +338,20 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     of weight 0 (phase 0), so (theta_grid + 1)^m rows, each a distinct decision.
     m=0 degenerates to a no-RIS search: one row whose single element is off.
     Every UAV position on a placement_grid^2 lattice over ORACLE_PLACEMENT_BOX
-    is scored against every row. Powers use full P_max when k=1,
-    otherwise a line search over ORACLE_POWER_GRID uniform-split scalings.
-    Returns (best eta, best SolutionState). The instance is derived from
-    (scn, seed) exactly as the experiment cells derive theirs, so oracle and
-    solver runs pair up.
+    is scored against every row, each at its exact power split
+    (objective.optimal_powers), which is full P_max on every row at k=1 with
+    the default hover power. Returns (best eta, best SolutionState). The
+    instance is derived from (scn, seed) exactly as the experiment cells
+    derive theirs, so oracle and solver runs pair up.
 
     Each position forms its gains once, with one product against the weights,
-    and makes one kernel call per power scale. Ties go to the first
-    (position, scale, row) in the lattice's C order; with no duplicate rows, a
-    tie needs bit-equal eta from two different decisions. The gains |C|^2 are
-    built GU-major, (k, R), and reach the kernel as a (R, k) view, so its
-    reductions over k run as whole-column passes; that is bit-identical to the
-    row-major layout only because k <= 2, and a sum of two terms rounds the
-    same in either order.
+    and makes one optimal_powers call over all its rows. Ties go to the first
+    (position, row) in the lattice's C order; with no duplicate rows, a tie
+    needs bit-equal eta from two different decisions. The gains |C|^2 are
+    built GU-major, (k, R), and reach the power step as a (R, k) view, which
+    it works on GU-major again; its reductions over k are bit-identical to
+    the row-major layout only because k <= 2, and a sum of two terms rounds
+    the same in either order.
     """
     for name, value in (("m", m), ("k", k), ("theta_grid", theta_grid),
                         ("placement_grid", placement_grid)):
@@ -382,10 +381,6 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     weights = np.exp(1j * phases) * onoff
     n_on = onoff.sum(axis=1)
 
-    scales = (np.array([1.0]) if k == 1
-              else np.linspace(1.0 / ORACLE_POWER_GRID, 1.0, ORACLE_POWER_GRID))
-    powers = scales[:, None] * np.full(k, inst.max_power / k)  # (S, k)
-
     (x_lo, x_hi), (y_lo, y_hi) = ORACLE_PLACEMENT_BOX
     xs = np.linspace(x_lo, x_hi, placement_grid)
     ys = np.linspace(y_lo, y_hi, placement_grid)
@@ -402,14 +397,12 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     best_eta, best = -np.inf, None
     for w, direct, v in zip(lattice, chans.direct, chans.cascade):
         gain = (np.abs(direct[:, None] + v @ weights.T) ** 2).T  # (R, k) view
-        for p in powers:
-            rates, _, eta = evaluate_efficiency(gain, p, n_on, inst)
-            eta = np.where(np.all(rates >= inst.min_rate, axis=-1), eta, -np.inf)
-            j = np.argmax(eta)
-            if eta[j] > best_eta:
-                best_eta = float(eta[j])
-                best = SolutionState(onoff=onoff[j].copy(), phases=phases[j].copy(),
-                                     powers=p.copy(), uav_pos=w.copy())
+        powers, eta = optimal_powers(gain, n_on, inst)
+        j = np.argmax(eta)
+        if eta[j] > best_eta:
+            best_eta = float(eta[j])
+            best = SolutionState(onoff=onoff[j].copy(), phases=phases[j].copy(),
+                                 powers=powers[j].copy(), uav_pos=w.copy())
     if best is None:
         raise RuntimeError("no rate-feasible point in the oracle's enumeration")
     return best_eta, best

@@ -15,18 +15,25 @@ so each GA generation costs one fitness call however large its population.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (ChannelSet, InstanceTerms, ScatteringDraw, build_channel_set,
                       effective_channels, instance_terms, reflection_weights)
+from .optim import POWER_FLOOR
 from .scenario import Scenario, hover_power  # noqa: F401  (hover_power is re-exported)
 
 # The summed relative rate deficit is scaled by this weight in the penalty divisor.
 RATE_PENALTY_WEIGHT = 10.0
 # Fitness floor, so roulette-wheel selection probabilities stay defined.
 FITNESS_FLOOR = 1.0e-12
+# Relative margin on the power floors of optimal_powers, so a GU held on its
+# rate floor still meets min_rate after rounding.
+FLOOR_MARGIN = 1.0e-6
+# Bisection steps on the total transmit power; 60 halvings reach P_max's last bit.
+_BISECT_STEPS = 60
 
 
 @dataclass
@@ -110,6 +117,149 @@ def evaluate_efficiency(gain, powers, n_active, scn: Scenario):
     p_total = (scn.hover_power + psum[..., 0]
                + k * scn.gu_circuit_power + scn.ru_power * np.asarray(n_active))
     return rates, p_total, rates.sum(axis=-1) / p_total
+
+
+def _vertices(nog: np.ndarray, s, c: float):
+    """Every vertex split at total transmit power s, one per served GU j.
+
+    nog is N/g_k, (K, R) GU-major, and s a scalar or broadcasts against it. GU
+    j takes s - L_j and every other GU k its floor l_k = max(c*(1 + FLOOR_MARGIN)
+    * (s + N/g_k), POWER_FLOOR), where c = 1 - 2^(-R_min/B). Returns (floors l,
+    f, df, ok), each (K, R): f[j] is the vertex's sum rate in nats per hertz
+    and df[j] its derivative in s; ok[j] says GU j's own rate floor holds at s.
+    """
+    cf = c * (1.0 + FLOOR_MARGIN)
+    a = nog + s                                  # s + N/g_k
+    ell = a * cf
+    if ell.min() > POWER_FLOOR:
+        # Every floor is proportional, so each floor GU's rate is -ln(1 - cf)
+        # whatever s is.
+        d_others = (len(ell) - 1) * cf
+        r_others, dr_others = -(len(ell) - 1) * np.log1p(-cf), None
+    else:
+        np.maximum(ell, POWER_FLOOR, out=ell)
+        slope = np.where(ell > POWER_FLOOR, cf, 0.0)  # dl_k/ds
+        d_others = slope.sum(axis=0) - slope
+        b = a - ell
+        # A floor GU's rate is ln(a/b), and its derivative 1/a - (1 - dl/ds)/b.
+        r = a / b
+        np.log(r, out=r)
+        r_others = r.sum(axis=0) - r
+        dr = (1.0 - slope) / b
+        np.subtract(1.0 / a, dr, out=dr)
+        dr_others = dr.sum(axis=0) - dr
+    others = ell.sum(axis=0) - ell               # L_j, the floors of the others
+    den = others + nog
+    # The served GU's rate is ln(a_j / (L_j + N/g_j)).
+    f = a / den
+    np.log(f, out=f)
+    f += r_others
+    df = np.divide(d_others, den)
+    np.subtract(1.0 / a, df, out=df)
+    if dr_others is not None:
+        df += dr_others
+    a *= c
+    np.maximum(a, POWER_FLOOR, out=a)
+    ok = np.subtract(s, others, out=others) >= a
+    return ell, f, df, ok
+
+
+def _bisect_power(nog: np.ndarray, p0: np.ndarray, j: int, c: float, p_max: float):
+    """Best total power for serving GU j, where h_j(P_max) < 0, per column of nog.
+
+    "infeasible or h_j(s) >= 0" holds below the optimum and fails above it,
+    because the feasible powers are an interval [S_min, inf) and h_j is
+    non-increasing; the returned upper end of the bracket is feasible.
+    """
+    lo = np.zeros(nog.shape[1])
+    hi = np.full(nog.shape[1], p_max)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        _, f, df, ok = _vertices(nog, mid, c)
+        below = ~ok[j] | (df[j] * (p0 + mid) >= f[j])
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi
+
+
+def optimal_powers(gain, n_active, scn: Scenario):
+    """The rate-feasible power split that maximizes eta at fixed gains, per row.
+
+    gain is (..., K) real gains |C|^2 and n_active broadcasts against its
+    leading axes. Returns (powers (..., K), eta (...)); a row whose rate floors
+    no split within P_max can meet has eta -inf.
+
+    Each rate is convex in its own power at a fixed total S, so the optimum is
+    a vertex: one GU j takes S - sum of the others' floors and every other GU
+    sits on its floor (see :func:`_vertices`). On that vertex eta_j(S) =
+    B*f_j(S) / (P0 + S) is pseudo-concave, so h_j(S) = f_j'(S)*(P0 + S) - f_j(S)
+    is non-increasing: S = P_max where h_j(P_max) >= 0, otherwise the root of
+    h_j, found by bisection. Each row serves the j of highest eta, and the
+    chosen split is scored by one :func:`evaluate_efficiency` call, so
+    :func:`check_constraints` of the split reproduces its eta. The work runs
+    GU-major, (K, R), so every reduction over the GUs is a column pass.
+    """
+    g = np.asarray(gain, dtype=float)
+    k, lead = g.shape[-1], g.shape[:-1]
+    g2 = g.reshape(-1, k)
+    n = np.broadcast_to(np.asarray(n_active, dtype=float), lead).reshape(-1)
+    c = -math.expm1(-math.log(2.0) * scn.min_rate / scn.bandwidth)
+    p_max = scn.max_power
+    p0 = (scn.hover_power + k * scn.gu_circuit_power) + scn.ru_power * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nog = scn.noise_power / g2.T
+        ell, f, df, ok = _vertices(nog, p_max, c)
+        s = p_max
+        need = df * (p0 + p_max) < f            # h_j(P_max) < 0
+        need &= ok
+        if need.any():
+            s = np.full(f.shape, p_max)
+            for j in np.flatnonzero(need.any(axis=1)):
+                rows = np.flatnonzero(need[j])
+                s[j, rows] = _bisect_power(nog[:, rows], p0[rows], j, c, p_max)
+                _, f_j, _, ok_j = _vertices(nog[:, rows], s[j, rows], c)
+                f[j, rows], ok[j, rows] = f_j[j], ok_j[j]
+            f /= p0 + s
+        # Each row serves its first GU of highest eta among the feasible ones.
+        np.copyto(f, -np.inf, where=~ok)
+        best = f.max(axis=0)
+        on = f == best
+        taken = on[0].copy()
+        for j in range(1, k):
+            on[j] &= ~taken
+            taken |= on[j]
+        if np.ndim(s):
+            s = (s * on).sum(axis=0)
+            ell = np.maximum(c * (1.0 + FLOOR_MARGIN) * (nog + s), POWER_FLOOR)
+        # The served entry is zeroed, so the others' floors sum exactly, then
+        # takes the rest of s.
+        ell *= ~on
+        ell += on * (s - ell.sum(axis=0))
+        rates, _, eta = evaluate_efficiency(g2, ell.T, n, scn)
+    # NaN fails both tests, as it fails the rate check of check_constraints.
+    eta[~((best > -np.inf) & (rates.min(axis=-1) >= scn.min_rate))] = -np.inf
+    return ell.T.reshape(g.shape), eta.reshape(lead)
+
+
+def alignment_bound(chans: ChannelSet, scn: Scenario):
+    """Upper bound on eta at the channels' UAV position: (eta_ub, n_on).
+
+    With n elements on, GU k's gain is at most (|h_d,k| + the sum of its n
+    largest |cascade_km|)^2, and the optimal eta rises with every gain, so the
+    best :func:`optimal_powers` over n = 0..M of those aligned gains bounds eta
+    for every on-off pattern, phase and power split. n_on is the maximizing n.
+    The bound holds for splits that keep optimal_powers' FLOOR_MARGIN; one
+    without it can pass it by a relative c * FLOOR_MARGIN at most.
+    (Q. Wu and R. Zhang, IEEE TWC 2019.) chans may hold a batch of positions;
+    then both results are arrays over them.
+    """
+    mags = np.sort(np.abs(chans.cascade), axis=-1)[..., ::-1]
+    amp = np.zeros(mags.shape[:-1] + (mags.shape[-1] + 1,))
+    np.cumsum(mags, axis=-1, out=amp[..., 1:])
+    amp += np.abs(chans.direct)[..., None]
+    amp **= 2
+    _, eta = optimal_powers(np.swapaxes(amp, -1, -2), np.arange(amp.shape[-1]), scn)
+    return eta.max(axis=-1), eta.argmax(axis=-1)
 
 
 def total_power(solution: SolutionState, scn: Scenario) -> float:

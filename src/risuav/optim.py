@@ -226,7 +226,7 @@ def _ga_loop(fitness, pop: np.ndarray, cfg: GaConfig, rng: np.random.Generator,
     best, best_fit = pop[best_i].copy(), float(fit[best_i])
     trace = [float(fit.max())]
 
-    for _ in range(cfg.generations):
+    for _ in range(int(cfg.generations)):
         idx = selection_sample(fit, rng, size=n)
         children = np.empty_like(pop)
         children[0::2], children[1::2] = crossover(pop[idx[0::2]], pop[idx[1::2]])
@@ -264,7 +264,7 @@ def ga_continuous_run(fitness, dims: tuple[int, int], cfg: GaConfig,
     m, k = dims
     if m < 0 or k < 0 or m + k == 0:
         raise ValueError(f"dims must be nonnegative with m+k >= 1, got {dims}")
-    n = 2 * cfg.pop_pairs
+    n = 2 * int(cfg.pop_pairs)  # a NumPy integer count would wrap
     sigma_theta = DEFAULT_THETA_SIGMA if cfg.mutation_scale is None else cfg.mutation_scale
     sigma = np.concatenate([np.full(m, sigma_theta),
                             np.full(k, POWER_MUTATION_FRAC * p_max)])
@@ -310,7 +310,7 @@ def ga_binary_run(fitness, m: int, cfg: GaConfig, rng: np.random.Generator,
     mu = min(1.0 / m, 0.5) if cfg.mutation_scale is None else cfg.mutation_scale
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"flip probability must lie in [0, 1), got {mu}")
-    n = 2 * cfg.pop_pairs
+    n = 2 * int(cfg.pop_pairs)  # a NumPy integer count would wrap
 
     pop = rng.integers(0, 2, size=(n, m))
     if seed_genomes is not None:
@@ -378,6 +378,7 @@ def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
     w0).
     """
     _check_adam_config(cfg)
+    iters = int(cfg.iters)
     batch_f = f if vectorized else (lambda points: np.array([float(f(x)) for x in points]))
 
     def evaluate(points: np.ndarray) -> np.ndarray:
@@ -399,7 +400,7 @@ def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
     trace = [f_cur]
     best_w, best_f = w.copy(), f_cur
 
-    for i in range(1, cfg.iters + 1):
+    for i in range(1, iters + 1):
         g = _stencil_gradient(values[1:], w, cfg.fd_step).tolist()
         c1 = 1.0 - ADAM_BETA1 ** i
         c2 = 1.0 - ADAM_BETA2 ** i
@@ -410,7 +411,7 @@ def adam_maximize(f, w0, cfg: AdamConfig, vectorized: bool = False):
             w_next[j] += cfg.step * (m[j] / c1) / (math.sqrt(v[j] / c2) + ADAM_EPS)
         w = np.array(w_next)
         # The last iterate needs no gradient, so it is scored alone.
-        values = evaluate(_stencil(w, e) if i < cfg.iters else w[None, :])
+        values = evaluate(_stencil(w, e) if i < iters else w[None, :])
         f_cur = float(values[0])
         trace.append(f_cur)
         if f_cur > best_f:

@@ -75,6 +75,15 @@ def test_optimize_huge_delta_stops_after_one_pass():
     assert res.outer_iters_used == 1
 
 
+def test_small_numpy_integer_max_outer_iters_does_not_wrap():
+    # In int8 arithmetic 127 + 1 wraps to -128, which would run no pass.
+    scn, scatter = small_instance(seed=0)
+    with np.errstate(over="raise"):
+        res = optimize(scn, scatter, initial_solution(scn),
+                       cfg=quick_cfg(delta=1e9, max_outer_iters=np.int8(127)), seed=0)
+    assert res.outer_iters_used == 1
+
+
 def test_optimize_deterministic_same_seed():
     scn, scatter = small_instance(seed=3)
     a = optimize(scn, scatter, initial_solution(scn), cfg=quick_cfg(), seed=3)

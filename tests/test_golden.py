@@ -39,7 +39,7 @@ ORACLE_SPEC = ExperimentSpec(
 )
 
 GOLDEN_DIGEST = "3fab898dbf7afc71295456942200607852c9acd72b34231bb27ccd1d567d8271"
-RAW_DIGEST = "39cffd83387fbe66278afad3344ba8cf8b35f51d7ee2f8be39d9a1aec74b7896"
+RAW_DIGEST = "c871b843bcf7ced450f7e2513a4f965e072413cbb4ab374efa73b8c0cc62ba14"
 
 
 def physics_digest(out_dir: Path) -> str:

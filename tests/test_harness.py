@@ -9,14 +9,15 @@ import pytest
 
 from risuav import harness
 from risuav.channel import build_channel_set, effective_channels, instance_terms
-from risuav.harness import (ALL_SCHEMES, ORACLE_POWER_GRID, RESULT_HEADER,
+from risuav.harness import (ALL_SCHEMES, RESULT_HEADER,
                             ExperimentResult, ExperimentRow, ExperimentSpec, build_instance,
                             emit_csv, emit_traces, load_spec, near_square_factors,
                             resolve_base_scenario, run_experiment, run_oracle,
                             spec_from_dict, spec_to_dict, validate_spec,
                             write_outputs)
-from risuav.objective import (SolutionState, check_constraints, evaluate_efficiency,
-                              per_gu_rates, total_power)
+from risuav import objective
+from risuav.objective import (SolutionState, alignment_bound, check_constraints,
+                              evaluate_efficiency, optimal_powers, per_gu_rates, total_power)
 from risuav.scenario import default_scenario, scenario_from_dict
 
 TINY = {"num_gus": 1, "ris_rows": 1, "ris_cols": 2}
@@ -279,6 +280,21 @@ def test_paired_schemes_share_instances():
 # Oracle
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(autouse=True)
+def oracle_within_alignment_bound(monkeypatch):
+    """Every run_oracle result in this module is at most the alignment bound
+    at the oracle's own position."""
+    def checked(m, k, theta_grid, placement_grid, scn=None, seed=0):
+        eta, sol = harness.run_oracle(m, k, theta_grid, placement_grid, scn, seed)
+        base = default_scenario() if scn is None else scn
+        inst, scatter, _ = build_instance(base, int(k), max(int(m), 1), seed)
+        chans = build_channel_set(inst, sol.uav_pos, instance_terms(inst, scatter))
+        assert eta <= alignment_bound(chans, inst)[0]
+        return eta, sol
+
+    monkeypatch.setitem(globals(), "run_oracle", checked)
+
+
 def test_run_oracle_matches_direct_enumeration():
     base = scenario_from_dict({"num_gus": 1, "ris_rows": 1, "ris_cols": 1})
     eta, sol = run_oracle(1, 1, 4, 3, scn=base, seed=0)
@@ -319,13 +335,21 @@ def test_run_oracle_two_user_power_search():
     assert eta > 0
     assert sol.powers.shape == (2,)
     assert np.sum(sol.powers) <= 1.0 + 1e-12
+    # The exact split serves one GU and holds the other on its rate floor.
+    scn, scatter, _ = build_instance(base, 2, 2, 0)
+    report = check_constraints(sol, scatter, scn)
+    assert report.overall_feasible
+    assert report.eta == pytest.approx(eta, rel=1e-12)
+    assert report.per_gu_rate.min() == pytest.approx(scn.min_rate, rel=1e-5)
 
 
 def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed):
-    """The oracle as one kernel call per (position, pattern, scale), rows phase-major.
+    """The oracle as one power step per (position, pattern), rows phase-major.
 
-    Returns (best eta, best SolutionState, feasible rows, infeasible rows); the
-    first occurrence of the best eta wins, in lattice, pattern, scale, row order.
+    K=1 scores each row at full power; K=2 hands each pattern's (rows, K)
+    row-major gains to optimal_powers. Returns (best eta, best SolutionState,
+    feasible rows, infeasible rows); the first occurrence of the best eta wins,
+    in lattice, pattern, row order.
     """
     inst, scatter, _ = build_instance(scn, k, max(m, 1), seed)
     if m == 0:
@@ -335,9 +359,6 @@ def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed):
         levels = 2.0 * np.pi * np.arange(theta_grid) / theta_grid
         thetas = levels[np.indices((theta_grid,) * m).reshape(m, -1).T]
     phase_factors = np.exp(1j * thetas)
-    scales = (np.array([1.0]) if k == 1
-              else np.linspace(1.0 / ORACLE_POWER_GRID, 1.0, ORACLE_POWER_GRID))
-    p_split = np.full(k, inst.max_power / k)
     terms = instance_terms(inst, scatter)
     best_eta, best, n_ok, n_bad = -np.inf, None, 0, 0
     for wx in np.linspace(175.0, 225.0, placement_grid):
@@ -350,18 +371,20 @@ def _oracle_reference(m, k, theta_grid, placement_grid, scn, seed):
             for pat in patterns:
                 c_eff = chans.direct[None, :] + (phase_factors * pat[None, :]) @ v.T
                 gain = np.abs(c_eff) ** 2
-                for c in scales:
-                    p = c * p_split
-                    rates, _, eta = evaluate_efficiency(gain, p[None, :], pat.sum(), inst)
-                    ok = np.all(rates >= inst.min_rate, axis=1)
-                    n_ok += int(ok.sum())
-                    n_bad += int((~ok).sum())
-                    eta = np.where(ok, eta, -np.inf)
-                    j = int(np.argmax(eta))
-                    if eta[j] > best_eta:
-                        best_eta = float(eta[j])
-                        best = SolutionState(onoff=pat.copy(), phases=thetas[j].copy(),
-                                             powers=p.copy(), uav_pos=w.copy())
+                if k == 1:
+                    powers = np.full(gain.shape, inst.max_power)
+                    rates, _, eta = evaluate_efficiency(gain, powers[:1], pat.sum(), inst)
+                    eta = np.where(np.all(rates >= inst.min_rate, axis=1), eta, -np.inf)
+                else:
+                    powers, eta = optimal_powers(gain, pat.sum(), inst)
+                ok = eta > -np.inf
+                n_ok += int(ok.sum())
+                n_bad += int((~ok).sum())
+                j = int(np.argmax(eta))
+                if eta[j] > best_eta:
+                    best_eta = float(eta[j])
+                    best = SolutionState(onoff=pat.copy(), phases=thetas[j].copy(),
+                                         powers=powers[j].copy(), uav_pos=w.copy())
     return best_eta, best, n_ok, n_bad
 
 
@@ -392,16 +415,21 @@ def test_run_oracle_bitwise_matches_reference_loop(m, k, theta_grid, placement_g
 
 
 def test_run_oracle_bitwise_with_infeasible_rows():
-    # The rate floor sits just above the weaker GU's rate at the unconstrained
-    # optimum, so the -inf mask moves the answer. Costly elements leave one off
-    # at seed 1; its tied phase rows must resolve to the first.
+    # The rate floor is set just past what P_max can serve at the unconstrained
+    # optimum's gains, S_min = c*N*(1/g_1 + 1/g_2)/(1 - 2c) > P_max, so the -inf
+    # rows move the answer. Costly elements leave some off at seed 1; its tied
+    # phase rows must resolve to the first.
     costly = scenario_from_dict({"ru_power": 0.5})
     some_off = False
     for seed in (1, 2):
         free_eta, free, _, _ = _oracle_reference(3, 2, 4, 3, costly, seed)
         scn, scatter, _ = build_instance(costly, 2, 3, seed)
-        floor = 1.001 * check_constraints(free, scatter, scn).per_gu_rate.min()
-        base = scenario_from_dict({"ru_power": 0.5, "min_rate": float(floor)})
+        chans = build_channel_set(scn, free.uav_pos, instance_terms(scn, scatter))
+        gain = np.abs(effective_channels(chans, free.phases, free.onoff)) ** 2
+        x = scn.max_power / (scn.noise_power * np.sum(1.0 / gain))
+        c = 1.0001 * x / (1.0 + 2.0 * x)
+        base = scenario_from_dict({"ru_power": 0.5,
+                                   "min_rate": float(-scn.bandwidth * np.log2(1.0 - c))})
         eta, sol = run_oracle(3, 2, 4, 3, scn=base, seed=seed)
         ref_eta, ref, n_ok, n_bad = _oracle_reference(3, 2, 4, 3, base, seed)
         assert n_ok > 0 and n_bad > 0 and ref_eta < free_eta
@@ -411,7 +439,7 @@ def test_run_oracle_bitwise_with_infeasible_rows():
     assert some_off
 
 
-# Small lattices at one and at 16 power scales, with one phase level or several.
+# Small lattices at K=1 and K=2, with one phase level or several.
 @pytest.mark.parametrize("m, k, theta_grid", [
     (3, 2, 3),
     (4, 2, 3),
@@ -433,18 +461,18 @@ def test_run_oracle_kernel_calls_stay_within_the_row_cap(monkeypatch, m, theta_g
     counts = []
 
     def counting(gain, powers, *args):
-        # The oracle hands the kernel gains |C|^2 it squared itself, never channels.
+        # The kernel gets gains |C|^2 squared by the oracle, never channels.
         assert isinstance(gain, np.ndarray) and gain.dtype.kind == "f"
         shape = np.broadcast_shapes(np.shape(gain), np.shape(powers))
         counts.append(int(np.prod(shape[:-1])))
         return evaluate_efficiency(gain, powers, *args)
 
-    monkeypatch.setattr(harness, "evaluate_efficiency", counting)
-    run_oracle(m, 2, theta_grid, 2)
-    # One call per (lattice point, scale), each over the whole weight lattice:
-    # theta_grid phase levels plus "off" per element, at the 4 lattice points.
-    assert counts == [(theta_grid + 1) ** m] * (ORACLE_POWER_GRID * 4)
-    assert sum(counts) == (theta_grid + 1) ** m * ORACLE_POWER_GRID * 4
+    monkeypatch.setattr(objective, "evaluate_efficiency", counting)
+    harness.run_oracle(m, 2, theta_grid, 2)
+    # One call per lattice point, over the whole weight lattice: theta_grid
+    # phase levels plus "off" per element, at the 4 lattice points.
+    assert counts == [(theta_grid + 1) ** m] * 4
+    assert sum(counts) == (theta_grid + 1) ** m * 4
 
 
 def test_run_oracle_off_elements_keep_phase_zero():

@@ -19,12 +19,13 @@ from risuav import objective
 from risuav.channel import (GeometryError, ScatteringDraw, build_channel_set,
                             effective_channels, instance_terms, ris_gu_block,
                             sample_scattering)
-from risuav.objective import (FITNESS_FLOOR, RATE_PENALTY_WEIGHT, SolutionState,
-                              _fitness_core, check_constraints, constraint_report,
-                              energy_efficiency, evaluate_efficiency, hover_power,
-                              onoff_fitness, penalized_fitness, per_gu_rates,
-                              phase_power_fitness, placement_objective, power_fitness,
-                              total_power, validate_solution)
+from risuav.objective import (FITNESS_FLOOR, FLOOR_MARGIN, RATE_PENALTY_WEIGHT, SolutionState,
+                              _fitness_core, alignment_bound, check_constraints,
+                              constraint_report, energy_efficiency, evaluate_efficiency,
+                              hover_power, onoff_fitness, optimal_powers, penalized_fitness,
+                              per_gu_rates, phase_power_fitness, placement_objective,
+                              power_fitness, total_power, validate_solution)
+from risuav.optim import POWER_FLOOR
 from risuav.scenario import (RngStream, default_scenario, sample_gu_positions,
                              with_gu_positions)
 
@@ -527,10 +528,10 @@ def _kernel_inputs(caller, rng):
         return rng.uniform(1e-10, 1e-7, (50, 8)), rng.uniform(1e-6, 0.2, (50, 8)), 240.0
     if caller == "power":            # one (1, K) gain row with (n, K) powers
         return rng.uniform(1e-10, 1e-7, (1, 8)), rng.uniform(1e-6, 0.2, (50, 8)), 240.0
-    if caller == "oracle":           # a (T, K) transposed view with (S, 1, K) powers
+    if caller == "oracle":           # (R, K) transposed views of GU-major gains and powers
         gain = rng.uniform(1e-10, 1e-7, (2, 256)).T
-        powers = (np.linspace(0.1, 1.0, 16)[:, None] * np.full(2, 0.5))[:, None, :]
-        return gain, powers, np.int64(3)
+        powers = rng.uniform(1e-6, 0.5, (2, 256)).T
+        return gain, powers, rng.integers(0, 5, 256).astype(float)
     # constraint_report: one (K,) solution, with a zero gain and a zero power
     gain = rng.uniform(1e-10, 1e-7, 4)
     powers = rng.uniform(1e-6, 0.2, 4)
@@ -577,3 +578,128 @@ def test_unit_phasors_differ_from_1j_theta_only_in_the_sign_of_a_zero_at_minus_z
     assert got == ref
     assert (got.real, np.signbit(got.imag)) == (1.0, True)
     assert (ref.real, np.signbit(ref.imag)) == (1.0, False)
+
+
+# ---------------------------------------------------------------------------
+# The exact power step and the alignment bound.
+# ---------------------------------------------------------------------------
+
+POWER_CASES = {"default": {}, "no-floor": {"min_rate": 0.0}, "floor-1e6": {"min_rate": 1e6},
+               "floor-5e6": {"min_rate": 5e6}, "costly-ris": {"ru_power": 0.5},
+               "light-uav": {"drone_mass": 0.01}, "light-uav-floor": {"drone_mass": 0.01,
+                                                                      "min_rate": 3e6}}
+
+
+def _simplex_grid_best(gain, n_active, scn, steps):
+    """Best eta over a grid of splits, each power >= POWER_FLOOR and their sum <= P_max."""
+    levels = np.linspace(POWER_FLOOR, scn.max_power, steps)
+    grid = np.stack(np.meshgrid(*[levels] * len(gain), indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, len(gain))
+    grid = grid[grid.sum(axis=1) <= scn.max_power]
+    rates, _, eta = evaluate_efficiency(gain, grid, n_active, scn)
+    return np.where(np.all(rates >= scn.min_rate, axis=1), eta, -np.inf).max()
+
+
+@pytest.mark.parametrize("k, steps", [(1, 4001), (2, 301), (3, 41)])
+@pytest.mark.parametrize("case", list(POWER_CASES))
+def test_optimal_powers_match_or_beat_a_simplex_grid(case, k, steps):
+    scn = dataclasses.replace(default_scenario(), **POWER_CASES[case])
+    gains = np.random.default_rng(k).uniform(1e-9, 1e-7, (3, k))
+    _, eta = optimal_powers(gains, 3.0, scn)
+    for g, e in zip(gains, eta):
+        assert e >= _simplex_grid_best(g, 3.0, scn, steps)
+
+
+@pytest.mark.parametrize("case", list(POWER_CASES))
+def test_optimal_powers_meet_every_constraint(case):
+    scn = dataclasses.replace(default_scenario(), **POWER_CASES[case])
+    rng = np.random.default_rng(5)
+    gains = 10.0 ** rng.uniform(-10, -6, (400, 4))
+    n_active = rng.integers(0, 61, 400)
+    powers, eta = optimal_powers(gains, n_active, scn)
+    ok = eta > -np.inf
+    assert ok.sum() >= 40
+    rates, _, ref_eta = evaluate_efficiency(gains, powers, n_active, scn)
+    # One kernel call scored the returned split, so re-scoring it gives the same bits.
+    assert same_bits(eta[ok], ref_eta[ok])
+    assert (rates[ok] >= scn.min_rate).all()
+    assert (powers[ok] >= POWER_FLOOR).all()
+    assert (powers[ok].sum(axis=1) <= scn.max_power * (1.0 + 1.0e-12)).all()
+
+
+def test_optimal_powers_at_one_gu_are_exactly_full_power():
+    # At the default hover power h(P_max) >= 0 on every row, so S = P_max.
+    scn = default_scenario()
+    rng = np.random.default_rng(6)
+    gains = 10.0 ** rng.uniform(-11, -6, (500, 1))
+    n_active = rng.integers(0, 61, 500).astype(float)
+    powers, eta = optimal_powers(gains, n_active, scn)
+    assert np.array_equal(powers, np.full((500, 1), scn.max_power))
+    _, _, ref = evaluate_efficiency(gains, np.array([scn.max_power]), n_active, scn)
+    assert same_bits(eta, ref)
+
+
+def test_optimal_powers_reject_rows_whose_floors_need_more_than_p_max():
+    # With equal gains g the floors need S_min = 2*c*N/g / (1 - 2c), which is
+    # P_max at g0; scaling g0 by t moves S_min to P_max / t.
+    scn = dataclasses.replace(default_scenario(), min_rate=5e6)
+    c = 1.0 - 2.0 ** (-scn.min_rate / scn.bandwidth)
+    g0 = 2.0 * c * scn.noise_power / ((1.0 - 2.0 * c) * scn.max_power)
+    t = np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
+    powers, eta = optimal_powers(np.repeat(g0 * t[:, None], 2, axis=1), 4.0, scn)
+    assert np.array_equal(eta > -np.inf, t > 1.0)
+    rates, _, _ = evaluate_efficiency(g0 * t[3:, None], powers[3:], 4.0, scn)
+    assert (rates >= scn.min_rate).all()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_optimal_powers_bisect_below_p_max_when_hover_power_is_small(k):
+    # A 10 g UAV hovers on about 28 mW, so 1 W of transmit power no longer
+    # pays for itself and the best total power is interior.
+    scn = dataclasses.replace(default_scenario(), drone_mass=0.01, min_rate=1e6)
+    gains = np.random.default_rng(7).uniform(1e-9, 1e-7, (20, k))
+    powers, eta = optimal_powers(gains, 3.0, scn)
+    s = powers.sum(axis=1)
+    assert (eta > -np.inf).all() and (s < 0.5 * scn.max_power).all()
+    # Stationary in S: the same vertex at 0.1% more or less total power loses.
+    c = (1.0 - 2.0 ** (-scn.min_rate / scn.bandwidth)) * (1.0 + FLOOR_MARGIN)
+    served = powers.argmax(axis=1)[:, None] == np.arange(k)
+    for scale in (0.999, 1.001):
+        moved = np.where(served, 0.0, c * (scale * s[:, None] + scn.noise_power / gains))
+        moved += served * (scale * s - moved.sum(axis=1))[:, None]
+        rates, _, moved_eta = evaluate_efficiency(gains, moved, 3.0, scn)
+        assert (rates >= scn.min_rate).all() and (moved_eta < eta).all()
+
+
+def test_alignment_bound_holds_and_the_aligned_construction_reaches_it():
+    scn, scatter = full_instance()
+    m, k = scn.num_elements, scn.num_gus
+    chans = build_channel_set(scn, np.array([201.0, 6.0]), instance_terms(scn, scatter))
+    eta_ub, n_on = alignment_bound(chans, scn)
+    assert 0 <= n_on <= m
+    rng = np.random.default_rng(8)
+    x = rng.integers(0, 2, (300, m)).astype(float)
+    weights = x * np.exp(1j * rng.uniform(0, 2 * np.pi, (300, m)))
+    gains = np.abs(chans.direct + weights @ chans.cascade.T) ** 2
+    _, eta = optimal_powers(gains, x.sum(axis=1), scn)
+    assert eta.max() < eta_ub
+    # Every phase aligned to one GU, its n_on largest reflections on.
+    best = -np.inf
+    for j in range(k):
+        onoff = np.zeros(m)
+        onoff[np.argsort(-np.abs(chans.cascade[j]))[:n_on]] = 1.0
+        theta = np.angle(chans.direct[j]) - np.angle(chans.cascade[j])
+        gain = np.abs(effective_channels(chans, theta, onoff)) ** 2
+        best = max(best, float(optimal_powers(gain, float(n_on), scn)[1]))
+    assert (1.0 - 1.0e-3) * eta_ub <= best <= eta_ub * (1.0 + 1.0e-12)
+
+
+def test_alignment_bound_batches_over_positions():
+    scn, scatter = full_instance()
+    positions = np.array([[201.0, 6.0], [190.0, 30.0], [215.0, 45.0]])
+    terms = instance_terms(scn, scatter)
+    eta_ub, n_on = alignment_bound(build_channel_set(scn, positions, terms), scn)
+    assert eta_ub.shape == n_on.shape == (3,)
+    for i, w in enumerate(positions):
+        one_eta, one_n = alignment_bound(build_channel_set(scn, w, terms), scn)
+        assert (one_eta, one_n) == (eta_ub[i], n_on[i])

@@ -423,6 +423,32 @@ def test_solver_counts_accept_numpy_integers():
     np.testing.assert_array_equal(climbs[0][0], climbs[1][0])
 
 
+@pytest.mark.parametrize("run", [
+    lambda cfg: ga_continuous_run(lambda pop: 1.0 / (1.0 + np.sum(pop ** 2, axis=1)),
+                                  (3, 2), cfg, np.random.default_rng(0)),
+    lambda cfg: ga_binary_run(lambda pop: 1.0 + pop.sum(axis=1), 5, cfg,
+                              np.random.default_rng(0)),
+], ids=["continuous", "binary"])
+def test_ga_small_numpy_integer_pop_pairs_do_not_wrap(run):
+    # In int8 arithmetic 2 * 100 wraps to -56; the drivers count in Python ints.
+    with np.errstate(over="raise"):
+        wide = run(GaConfig(pop_pairs=100, generations=2))
+        small = run(GaConfig(pop_pairs=np.int8(100), generations=np.int8(2)))
+    np.testing.assert_array_equal(small[0], wide[0])
+    np.testing.assert_array_equal(small[2], wide[2])
+
+
+def test_adam_small_numpy_integer_iters_do_not_wrap():
+    # In int8 arithmetic 127 + 1 wraps to -128, which would leave no step.
+    with np.errstate(over="raise"):
+        w, trace = adam_maximize(lambda w: -float(w @ w), np.ones(2),
+                                 AdamConfig(iters=np.int8(127)))
+    assert trace.shape == (128,)
+    ref_w, ref_trace = adam_maximize(lambda w: -float(w @ w), np.ones(2), AdamConfig(iters=127))
+    np.testing.assert_array_equal(w, ref_w)
+    np.testing.assert_array_equal(trace, ref_trace)
+
+
 def _run_continuous(seed_genomes):
     return ga_continuous_run(lambda pop: np.ones(len(pop)), (3, 2),
                              GaConfig(pop_pairs=2, generations=1),
