@@ -20,7 +20,7 @@ which no config field can move.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -33,6 +33,11 @@ from .optim import (POWER_FLOOR, AdamConfig, GaConfig, _check_adam_config, _chec
                     _check_ga_config, adam_maximize, ga_binary_run, ga_continuous_run,
                     repair_power)
 from .scenario import RngStream, Scenario, validate
+
+
+# Reruns of a placement climb, each with half the previous stencil step, after
+# a GeometryError.
+STENCIL_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,23 @@ def initial_solution(scn: Scenario, power_floor: float = POWER_FLOOR) -> Solutio
     powers = repair_power(np.full(k, scn.max_power / k), scn.max_power, power_floor)
     return SolutionState(onoff=np.ones(m), phases=np.zeros(m), powers=powers,
                          uav_pos=np.asarray(scn.uav_initial_position, dtype=float))
+
+
+def _climb(objective, w0: np.ndarray, adam_cfg: AdamConfig):
+    """Adam's best position from w0, or None if the climb fails.
+
+    A stencil point or iterate with undefined channels, such as the RIS foot
+    point, reruns the climb with half the stencil step, at most STENCIL_RETRIES
+    times; non-finite objective values end it at once.
+    """
+    for _ in range(STENCIL_RETRIES + 1):
+        try:
+            return adam_maximize(objective, w0, adam_cfg, vectorized=True)[0]
+        except GeometryError:
+            adam_cfg = replace(adam_cfg, fd_step=adam_cfg.fd_step / 2.0)
+        except FloatingPointError:
+            return None
+    return None
 
 
 def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdConfig,
@@ -125,14 +147,11 @@ def _run(scn: Scenario, scatter: ScatteringDraw, init: SolutionState, cfg: BcdCo
             cand.onoff = pattern.astype(float)
             accept(cand)
 
-        # (c) UAV placement. A stencil point with undefined or non-finite
-        # channels ends the climb as a rejected proposal: the UAV stays put.
+        # (c) UAV placement. A climb that fails is a rejected proposal: the
+        # UAV stays put.
         objective = placement_objective(scn, terms, sol.onoff, sol.phases, sol.powers)
-        try:
-            w_best, _ = adam_maximize(objective, sol.uav_pos, cfg.adam_cfg, vectorized=True)
-        except (GeometryError, FloatingPointError):
-            pass
-        else:
+        w_best = _climb(objective, sol.uav_pos, cfg.adam_cfg)
+        if w_best is not None:
             cand = sol.copy()
             cand.uav_pos = np.asarray(w_best, dtype=float)
             accept(cand)

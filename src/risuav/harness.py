@@ -26,7 +26,7 @@ from ._version import __version__
 from .bcd import (BcdConfig, BcdResult, baseline_no_ris, baseline_random_phase,
                   initial_solution, optimize)
 from .channel import build_channel_set, instance_terms, sample_scattering
-from .objective import SolutionState, check_constraints, optimal_powers
+from .objective import SolutionState, alignment_bound, check_constraints, optimal_powers
 from .scenario import (RngStream, Scenario, default_scenario, is_integral, load_scenario,
                        sample_gu_positions, scenario_from_dict, scenario_to_dict,
                        with_gu_positions)
@@ -47,6 +47,9 @@ ORACLE_PLACEMENT_BOX = ((175.0, 225.0), (0.0, 50.0))
 ORACLE_MAX_ELEMENTS = 4
 ORACLE_MAX_GUS = 2
 _MAX_ENUMERATION = 10_000_000
+# Relative slack on the alignment bound when the oracle prunes a position, so
+# round-off in the bound's own power step cannot drop a position that wins.
+_BOUND_MARGIN = 1.0e-9
 # ExperimentSpec fields that hold one integer >= 1.
 _COUNT_FIELDS = ("fixed_gus", "fixed_elements", "max_outer_iters", "workers",
                "theta_grid", "placement_grid")
@@ -337,21 +340,27 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
     theta_grid uniform phase levels 2*pi*l/theta_grid or an extra "off" level
     of weight 0 (phase 0), so (theta_grid + 1)^m rows, each a distinct decision.
     m=0 degenerates to a no-RIS search: one row whose single element is off.
-    Every UAV position on a placement_grid^2 lattice over ORACLE_PLACEMENT_BOX
-    is scored against every row, each at its exact power split
+    The optimum is over every UAV position on a placement_grid^2 lattice over
+    ORACLE_PLACEMENT_BOX and every row, each at its exact power split
     (objective.optimal_powers), which is full P_max on every row at k=1 with
     the default hover power. Returns (best eta, best SolutionState). The
     instance is derived from (scn, seed) exactly as the experiment cells
     derive theirs, so oracle and solver runs pair up.
 
-    Each position forms its gains once, with one product against the weights,
-    and makes one optimal_powers call over all its rows. Ties go to the first
-    (position, row) in the lattice's C order; with no duplicate rows, a tie
-    needs bit-equal eta from two different decisions. The gains |C|^2 are
-    built GU-major, (k, R), and reach the power step as a (R, k) view, which
-    it works on GU-major again; its reductions over k are bit-identical to
-    the row-major layout only because k <= 2, and a sum of two terms rounds
-    the same in either order.
+    One objective.alignment_bound call over the whole lattice first bounds
+    eta at every position. Positions are then visited in the lattice's C
+    order, and one whose bound, raised by a relative _BOUND_MARGIN (1e-9) for
+    round-off, is below the incumbent's eta is skipped: none of its rows can
+    beat or tie the incumbent, so the answer is the same bits as scoring every
+    position (branch and bound; A. H. Land and A. G. Doig, Econometrica 1960).
+    Each position scored forms its gains once, with one product against the
+    weights, and makes one optimal_powers call over all its rows. Ties go to
+    the first (position, row) in the lattice's C order; with no duplicate
+    rows, a tie needs bit-equal eta from two different decisions. The gains
+    |C|^2 are built GU-major, (k, R), and reach the power step as a (R, k)
+    view, which it works on GU-major again; its reductions over k are
+    bit-identical to the row-major layout only because k <= 2, and a sum of
+    two terms rounds the same in either order.
     """
     for name, value in (("m", m), ("k", k), ("theta_grid", theta_grid),
                         ("placement_grid", placement_grid)):
@@ -393,9 +402,12 @@ def run_oracle(m: int, k: int, theta_grid: int, placement_grid: int,
         raise RuntimeError("every point of the oracle's placement lattice is above the RIS")
 
     chans = build_channel_set(inst, lattice, instance_terms(inst, scatter))
+    bound, _ = alignment_bound(chans, inst)
 
     best_eta, best = -np.inf, None
-    for w, direct, v in zip(lattice, chans.direct, chans.cascade):
+    for w, direct, v, ub in zip(lattice, chans.direct, chans.cascade, bound):
+        if ub * (1.0 + _BOUND_MARGIN) < best_eta:
+            continue
         gain = (np.abs(direct[:, None] + v @ weights.T) ** 2).T  # (R, k) view
         powers, eta = optimal_powers(gain, n_on, inst)
         j = np.argmax(eta)

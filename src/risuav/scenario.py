@@ -146,8 +146,13 @@ def validate(scn: Scenario) -> Scenario:
     return scn
 
 
+@functools.cache
 def default_scenario() -> Scenario:
-    """Scenario populated with the default constants; GU positions left unset."""
+    """Scenario populated with the default constants; GU positions left unset.
+
+    Built and validated once: every call returns the same frozen instance, so
+    runs that keep their scenario share one copy of it.
+    """
     return validate(Scenario())
 
 

@@ -195,28 +195,45 @@ def test_non_integer_solver_counts_fail_before_any_block(monkeypatch, field, cfg
         optimize(scn, scatter, initial_solution(scn), cfg=quick_cfg(**cfg))
 
 
-def test_singular_placement_stencil_keeps_the_uav_in_place():
-    # From (200, 0.5) the first stencil point is the RIS foot point (200, 0),
-    # where the UAV-RIS azimuth is undefined. The climb is dropped, not the cell.
+def test_singular_placement_stencil_retries_and_moves_the_uav(monkeypatch):
+    # From (200, 0.5) the first stencil point of a 0.5 m step is the RIS foot
+    # point (200, 0), where the UAV-RIS azimuth is undefined. The climb reruns
+    # with a 0.25 m step and the UAV leaves the start point.
+    steps = []
+    adam_maximize = bcd.adam_maximize
+
+    def recording(f, w0, cfg, **kwargs):
+        steps.append(cfg.fd_step)
+        return adam_maximize(f, w0, cfg, **kwargs)
+
+    monkeypatch.setattr(bcd, "adam_maximize", recording)
     base = dataclasses.replace(default_scenario(), uav_initial_position=(200.0, 0.5))
-    scn, scatter, _ = build_instance(base, 2, 16, 0)
+    scn, scatter, _ = build_instance(base, 2, 4, 0)
     res = optimize(scn, scatter, initial_solution(scn), BcdConfig(), seed=0)
+    assert steps[:2] == [0.5, 0.25]
+    assert not np.array_equal(res.best.uav_pos, [200.0, 0.5])
     assert np.all(np.diff(res.eta_trace) >= 0.0)
     assert res.eta_trace[-1] > res.eta_trace[0]
-    np.testing.assert_array_equal(res.best.uav_pos, [200.0, 0.5])
     report = res.constraint_report
-    assert report.per_gu_rate.shape == (2,) and np.all(np.isfinite(report.per_gu_rate))
+    assert report.overall_feasible and np.all(np.isfinite(report.per_gu_rate))
     assert report.eta == pytest.approx(res.eta_trace[-1], rel=1e-9)
 
 
 @pytest.mark.parametrize("error", [GeometryError, FloatingPointError])
 def test_failed_placement_climb_is_a_rejected_proposal(monkeypatch, error):
-    def failing_adam(*args, **kwargs):
+    steps = []
+
+    def failing_adam(f, w0, cfg, **kwargs):
+        steps.append(cfg.fd_step)
         raise error("stencil")
     scn, scatter = small_instance(seed=1)
     monkeypatch.setattr(bcd, "adam_maximize", failing_adam)
     res = optimize(scn, scatter, initial_solution(scn), cfg=quick_cfg(), seed=1)
     np.testing.assert_array_equal(res.best.uav_pos, scn.uav_initial_position)
+    # A GeometryError reruns the climb, each time with half the stencil step.
+    fd_steps = [0.5 / 2 ** i for i in range(bcd.STENCIL_RETRIES + 1)]
+    per_pass = fd_steps if error is GeometryError else fd_steps[:1]
+    assert steps == per_pass * res.outer_iters_used
     assert np.all(np.diff(res.eta_trace) >= 0.0)
     assert res.constraint_report.overall_feasible
 

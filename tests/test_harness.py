@@ -393,6 +393,20 @@ def _assert_same_solution(sol, ref):
         assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
 
 
+def _count_table_calls(monkeypatch, m, theta_grid):
+    """A list that gets one entry per optimal_powers call of run_oracle, each
+    over its whole (theta_grid + 1)^m-row weight table."""
+    calls = []
+
+    def counting(gain, n_active, scn):
+        assert len(gain) == (theta_grid + 1) ** m
+        calls.append(len(gain))
+        return optimal_powers(gain, n_active, scn)
+
+    monkeypatch.setattr(harness, "optimal_powers", counting)
+    return calls
+
+
 @pytest.mark.parametrize("m, k, theta_grid, placement_grid, seeds, overrides", [
     (4, 2, 3, 3, (0, 1), {}),
     (3, 2, 4, 3, (0, 1, 2), {}),
@@ -402,16 +416,37 @@ def _assert_same_solution(sol, ref):
     # Costly elements: the best solutions switch on 1, 0 and 4 of the 4
     # elements, so the off level is exercised, all-off included.
     (4, 2, 3, 3, (0, 1, 2), {"ru_power": 0.5}),
+    # A 10 g UAV: the optimum's total power is interior, found by bisection.
+    (4, 2, 3, 3, (0, 1, 2), {"drone_mass": 0.01}),
+    # A rate floor that costs the floor GU 4-15% of P_max.
+    (4, 2, 3, 3, (0, 1, 2), {"min_rate": 1.0e6}),
 ], ids=["4-2-3-3-seeds0", "3-2-4-3-seeds1", "2-1-5-4-seeds2", "1-2-8-4-seeds3",
-        "0-2-3-4-seeds4", "4-2-3-3-ru_power0.5"])
-def test_run_oracle_bitwise_matches_reference_loop(m, k, theta_grid, placement_grid, seeds,
-                                                   overrides):
+        "0-2-3-4-seeds4", "4-2-3-3-ru_power0.5", "4-2-3-3-drone_mass0.01",
+        "4-2-3-3-min_rate1e6"])
+def test_run_oracle_bitwise_matches_reference_loop(monkeypatch, m, k, theta_grid,
+                                                   placement_grid, seeds, overrides):
+    tables = _count_table_calls(monkeypatch, m, theta_grid)
     base = scenario_from_dict(overrides)
+    n_points = placement_grid ** 2 - placement_grid % 2  # the RIS foot point is dropped
     for seed in seeds:
+        tables.clear()
         eta, sol = run_oracle(m, k, theta_grid, placement_grid, scn=base, seed=seed)
+        # The bound prunes some positions, and the answer stays the same bits.
+        assert 1 <= len(tables) < n_points
         ref_eta, ref, _, _ = _oracle_reference(m, k, theta_grid, placement_grid, base, seed)
         assert eta == ref_eta
         _assert_same_solution(sol, ref)
+
+
+def test_run_oracle_prunes_most_positions_of_the_benchmark_instance(monkeypatch):
+    # The oracle-k2m4 benchmark's cells: K=2, M=4, 8 phase levels, a 5x5
+    # lattice less the RIS foot point. The alignment bound leaves 3-12 of
+    # the 24 positions to score on seeds 0-8.
+    tables = _count_table_calls(monkeypatch, 4, 8)
+    for seed in range(9):
+        tables.clear()
+        harness.run_oracle(4, 2, 8, 5, seed=seed)
+        assert 1 <= len(tables) < 24
 
 
 def test_run_oracle_bitwise_with_infeasible_rows():
@@ -469,10 +504,14 @@ def test_run_oracle_kernel_calls_stay_within_the_row_cap(monkeypatch, m, theta_g
 
     monkeypatch.setattr(objective, "evaluate_efficiency", counting)
     harness.run_oracle(m, 2, theta_grid, 2)
-    # One call per lattice point, over the whole weight lattice: theta_grid
-    # phase levels plus "off" per element, at the 4 lattice points.
-    assert counts == [(theta_grid + 1) ** m] * 4
-    assert sum(counts) == (theta_grid + 1) ** m * 4
+    # First the alignment bound, one call over n = 0..M elements on at each
+    # of the 4 lattice points (the instance has max(m, 1) elements). Then one
+    # call per position the bound does not prune, each over the whole weight
+    # lattice: theta_grid phase levels plus "off" per element.
+    rows = (theta_grid + 1) ** m
+    assert counts[0] == 4 * (max(m, 1) + 1)
+    assert 1 <= len(counts) - 1 <= 4
+    assert counts[1:] == [rows] * (len(counts) - 1)
 
 
 def test_run_oracle_off_elements_keep_phase_zero():

@@ -28,6 +28,17 @@ def test_default_scenario_constants():
     assert scn.gu_positions is None
 
 
+def test_default_scenario_is_built_once_and_shared():
+    scn = default_scenario()
+    assert default_scenario() is scn
+    assert validate(scn) is scn and scn == Scenario()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.max_power = 2.0
+    changed = dataclasses.replace(scn, max_power=2.0, num_gus=2)
+    assert (changed.max_power, changed.num_gus) == (2.0, 2)
+    assert default_scenario() is scn and scn == Scenario()
+
+
 def test_num_elements_is_rows_times_cols():
     scn = Scenario(ris_rows=3, ris_cols=7)
     assert scn.num_elements == 21
